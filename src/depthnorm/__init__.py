@@ -1,6 +1,5 @@
 """Depth-based normalization and outlier screening for sample matrices."""
 
-from ._kernels import backend
 from .core import (
     ClassPartition,
     DataError,

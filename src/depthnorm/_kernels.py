@@ -1,44 +1,19 @@
-"""Numeric kernels used by the hot paths.
+"""Numeric kernels used by the hot paths, one numpy implementation each.
 
-Each kernel exists twice: a numba ``@njit`` version and a pure-numpy
-fallback.  The numba path is used when numba imports successfully and the
-environment variable ``DEPTHNORM_NO_NUMBA`` is unset; setting it to
-``1``/``true``/``yes`` forces the numpy path (useful for debugging and for
-``benchmarks/bench_kernels.py``, which times both).
-
-Both paths implement the same arithmetic; they may differ by floating
-round-off because of accumulation order, never by algorithm.
+The summarization kernels work on batches of equal-shape blocks.  A
+single block is a batch of one, and ragged probe layouts are grouped by
+block size so that each size runs as one batch.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_flag = os.environ.get("DEPTHNORM_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _flag in {"1", "true", "yes", "on"}
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via DEPTHNORM_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-def backend() -> str:
-    """Name of the kernel backend in use: 'numba' or 'numpy'."""
-    return "numba" if HAVE_NUMBA else "numpy"
-
 
 # ---------------------------------------------------------------------------
 # pairwise column distances
 
 
-def pairwise_dists_numpy(xt: np.ndarray) -> np.ndarray:
+def pairwise_dists(xt: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``xt`` (n x G), as n x n."""
     n = xt.shape[0]
     d = np.zeros((n, n))
@@ -52,41 +27,21 @@ def pairwise_dists_numpy(xt: np.ndarray) -> np.ndarray:
 # median polish
 
 
-def _polish_block_numpy(block, max_iter, tol):
-    p, n = block.shape
-    resid = block.astype(np.float64, copy=True)
-    row = np.zeros(p)
-    col = np.zeros(n)
-    overall = 0.0
-    oldsum = 0.0
-    for _ in range(max_iter):
-        rdelta = np.median(resid, axis=1)
-        resid -= rdelta[:, None]
-        row += rdelta
-        delta = np.median(col)
-        col -= delta
-        overall += delta
-        cdelta = np.median(resid, axis=0)
-        resid -= cdelta
-        col += cdelta
-        delta = np.median(row)
-        row -= delta
-        overall += delta
-        newsum = np.abs(resid).sum()
-        if newsum == 0.0 or abs(newsum - oldsum) < tol * newsum:
-            break
-        oldsum = newsum
-    return overall, row, col, resid
+def _size_groups(starts):
+    """Yield (gene indices, their row indices as genes x size) per block size."""
+    sizes = np.diff(starts)
+    for size in np.unique(sizes):
+        genes = np.flatnonzero(sizes == size)
+        yield genes, starts[genes][:, None] + np.arange(size)
 
 
-def _polish_batched_numpy(blocks, max_iter, tol):
-    """Median polish of many equal-shape blocks at once.
+def polish_blocks(resid, max_iter, tol):
+    """Median polish of equal-shape float64 blocks, in place on ``resid``.
 
-    Blocks that converge are frozen, so each block sees exactly the same
-    sweep sequence as the one-block routine.
+    Blocks that converge are frozen, so each block sees exactly the sweep
+    sequence it would see on its own.
     """
-    nblocks, p, n = blocks.shape
-    resid = blocks.astype(np.float64, copy=True)
+    nblocks, p, n = resid.shape
     row = np.zeros((nblocks, p))
     col = np.zeros((nblocks, n))
     overall = np.zeros(nblocks)
@@ -117,21 +72,12 @@ def _polish_batched_numpy(blocks, max_iter, tol):
     return overall, row, col, resid
 
 
-def polish_summaries_numpy(values, starts, max_iter, tol):
+def polish_summaries(values, starts, max_iter, tol):
     """Per-block median-polish summaries (overall + column effects)."""
-    ngenes = starts.shape[0] - 1
-    n = values.shape[1]
-    sizes = np.diff(starts)
-    if ngenes > 1 and (sizes == sizes[0]).all():
-        blocks = values.reshape(ngenes, sizes[0], n)
-        overall, _, col, _ = _polish_batched_numpy(blocks, max_iter, tol)
-        return overall[:, None] + col
-    out = np.empty((ngenes, n))
-    for g in range(ngenes):
-        overall, _, col, _ = _polish_block_numpy(
-            values[starts[g]:starts[g + 1]], max_iter, tol
-        )
-        out[g] = overall + col
+    out = np.empty((starts.shape[0] - 1, values.shape[1]))
+    for genes, rows in _size_groups(starts):
+        overall, _, col, _ = polish_blocks(values[rows], max_iter, tol)
+        out[genes] = overall[:, None] + col
     return out
 
 
@@ -139,26 +85,7 @@ def polish_summaries_numpy(values, starts, max_iter, tol):
 # biweight location
 
 
-def _biweight_numpy(x, c, eps, max_iter, tol):
-    t = np.median(x)
-    mad = np.median(np.abs(x - t))
-    if mad == 0.0:
-        return t
-    denom = c * mad + eps
-    for _ in range(max_iter):
-        u = (x - t) / denom
-        w = np.where(np.abs(u) < 1.0, (1.0 - u * u) ** 2, 0.0)
-        wsum = w.sum()
-        if wsum == 0.0:
-            return t
-        tn = (w * x).sum() / wsum
-        if abs(tn - t) <= tol:
-            return tn
-        t = tn
-    return t
-
-
-def _biweight_batched_numpy(series, c, eps, max_iter, tol):
+def biweight_series(series, c, eps, max_iter, tol):
     """Biweight location of many equal-length series (rows of ``series``)."""
     t = np.median(series, axis=1)
     mad = np.median(np.abs(series - t[:, None]), axis=1)
@@ -184,143 +111,12 @@ def _biweight_batched_numpy(series, c, eps, max_iter, tol):
     return out
 
 
-def biweight_summaries_numpy(values, starts, c, eps, max_iter, tol):
+def biweight_summaries(values, starts, c, eps, max_iter, tol):
     """Per-block, per-column biweight locations."""
-    ngenes = starts.shape[0] - 1
     n = values.shape[1]
-    sizes = np.diff(starts)
-    if ngenes > 1 and (sizes == sizes[0]).all():
-        blocks = values.reshape(ngenes, sizes[0], n)
-        series = np.ascontiguousarray(blocks.transpose(0, 2, 1)).reshape(ngenes * n, -1)
-        return _biweight_batched_numpy(series, c, eps, max_iter, tol).reshape(ngenes, n)
-    out = np.empty((ngenes, n))
-    for g in range(ngenes):
-        block = values[starts[g]:starts[g + 1]]
-        for j in range(n):
-            out[g, j] = _biweight_numpy(
-                np.ascontiguousarray(block[:, j]), c, eps, max_iter, tol
-            )
+    out = np.empty((starts.shape[0] - 1, n))
+    for genes, rows in _size_groups(starts):
+        # gathered as genes x n x size, so each series is one contiguous row
+        series = values[rows[:, None, :], np.arange(n)[:, None]].reshape(genes.size * n, -1)
+        out[genes] = biweight_series(series, c, eps, max_iter, tol).reshape(genes.size, n)
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba variants
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def pairwise_dists_numba(xt):
-        n, g = xt.shape
-        d = np.zeros((n, n))
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                s = 0.0
-                for k in range(g):
-                    t = xt[i, k] - xt[j, k]
-                    s += t * t
-                r = np.sqrt(s)
-                d[i, j] = r
-                d[j, i] = r
-        return d
-
-    @njit(cache=True, nogil=True)
-    def _polish_block_numba(block, max_iter, tol):
-        p, n = block.shape
-        resid = block.copy()
-        row = np.zeros(p)
-        col = np.zeros(n)
-        overall = 0.0
-        oldsum = 0.0
-        tmp = np.empty(p)
-        for _ in range(max_iter):
-            for i in range(p):
-                rdelta = np.median(resid[i])
-                for j in range(n):
-                    resid[i, j] -= rdelta
-                row[i] += rdelta
-            delta = np.median(col)
-            col -= delta
-            overall += delta
-            for j in range(n):
-                for i in range(p):
-                    tmp[i] = resid[i, j]
-                cdelta = np.median(tmp)
-                for i in range(p):
-                    resid[i, j] -= cdelta
-                col[j] += cdelta
-            delta = np.median(row)
-            row -= delta
-            overall += delta
-            newsum = 0.0
-            for i in range(p):
-                for j in range(n):
-                    newsum += abs(resid[i, j])
-            if newsum == 0.0 or abs(newsum - oldsum) < tol * newsum:
-                break
-            oldsum = newsum
-        return overall, row, col, resid
-
-    @njit(cache=True, nogil=True)
-    def polish_summaries_numba(values, starts, max_iter, tol):
-        ngenes = starts.shape[0] - 1
-        n = values.shape[1]
-        out = np.empty((ngenes, n))
-        for g in range(ngenes):
-            block = values[starts[g]:starts[g + 1]]
-            overall, _, col, _ = _polish_block_numba(block, max_iter, tol)
-            for j in range(n):
-                out[g, j] = overall + col[j]
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _biweight_numba(x, c, eps, max_iter, tol):
-        t = np.median(x)
-        mad = np.median(np.abs(x - t))
-        if mad == 0.0:
-            return t
-        denom = c * mad + eps
-        m = x.shape[0]
-        for _ in range(max_iter):
-            num = 0.0
-            den = 0.0
-            for k in range(m):
-                u = (x[k] - t) / denom
-                if -1.0 < u < 1.0:
-                    w = 1.0 - u * u
-                    w *= w
-                    num += w * x[k]
-                    den += w
-            if den == 0.0:
-                return t
-            tn = num / den
-            if abs(tn - t) <= tol:
-                return tn
-            t = tn
-        return t
-
-    @njit(cache=True, nogil=True)
-    def biweight_summaries_numba(values, starts, c, eps, max_iter, tol):
-        ngenes = starts.shape[0] - 1
-        n = values.shape[1]
-        out = np.empty((ngenes, n))
-        tmp = np.empty(values.shape[0])
-        for g in range(ngenes):
-            lo = starts[g]
-            hi = starts[g + 1]
-            for j in range(n):
-                for i in range(lo, hi):
-                    tmp[i - lo] = values[i, j]
-                out[g, j] = _biweight_numba(tmp[: hi - lo], c, eps, max_iter, tol)
-        return out
-
-    pairwise_dists = pairwise_dists_numba
-    polish_summaries = polish_summaries_numba
-    _polish_block = _polish_block_numba
-    _biweight = _biweight_numba
-    biweight_summaries = biweight_summaries_numba
-else:
-    pairwise_dists = pairwise_dists_numpy
-    polish_summaries = polish_summaries_numpy
-    _polish_block = _polish_block_numpy
-    _biweight = _biweight_numpy
-    biweight_summaries = biweight_summaries_numpy

@@ -30,6 +30,7 @@ from .outlier import (
     calibrate_g,
     detect_outliers,
     format_report_table,
+    load_reports,
     reports_to_json,
     robust_covariance,
     save_report_csv,
@@ -70,9 +71,12 @@ def _parse_config_file(path: Path) -> dict:
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     """Turn --config values into defaults of the invoked subparser."""
-    if "--config" not in argv:
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    cfg = pre.parse_known_args(argv)[0].config
+    if cfg is None:
         return
-    cfg_path = Path(argv[argv.index("--config") + 1])
+    cfg_path = Path(cfg)
     if not cfg_path.exists():
         raise DataError(f"no such config file: {cfg_path}")
     sub = next((tok for tok in argv if not tok.startswith("-")), None)
@@ -99,6 +103,10 @@ def _load(args):
     if getattr(args, "filter_zeros", None) is not None:
         m = filter_zero_rows(m, args.filter_zeros)
     return m
+
+
+def _tables(reports, title: str) -> str:
+    return "\n\n".join(format_report_table(r, title=f"{title} ({r.scope})") for r in reports)
 
 
 def _add_io_args(p: argparse.ArgumentParser) -> None:
@@ -227,6 +235,21 @@ def _cmd_depth(args) -> int:
     return 0
 
 
+def _calibrate(args, out: Path, n: int, n_features: int, cov) -> TukeyCalibration:
+    """Monte-Carlo calibration from the command's flags, saved as calibration.json."""
+    cal = calibrate_g(
+        n=n,
+        n_features=n_features,
+        cov=cov,
+        target_rate=args.target_rate,
+        replicates=args.replicates,
+        seed=args.seed,
+        threads=args.threads,
+    )
+    (out / "calibration.json").write_text(cal.to_json())
+    return cal
+
+
 def _cmd_outliers(args) -> int:
     m = _load(args)
     out = _outdir(args)
@@ -236,25 +259,14 @@ def _cmd_outliers(args) -> int:
     if args.g_factor is not None:
         cal = TukeyCalibration.fixed(args.g_factor)
     else:
-        cov = robust_covariance(sorted_m)
-        cal = calibrate_g(
-            n=m.n_samples,
-            n_features=m.n_features,
-            cov=cov,
-            target_rate=args.target_rate,
-            replicates=args.replicates,
-            seed=args.seed,
-            threads=args.threads,
-        )
-        (out / "calibration.json").write_text(cal.to_json())
+        cal = _calibrate(args, out, m.n_samples, m.n_features, robust_covariance(m))
     reports = detect_outliers(sorted_m, cal, scope="global", flag_both=args.both_members)
     if args.classes:
         labels = load_class_labels(args.classes, m.n_samples)
         reports += detect_outliers(
             sorted_m, cal, scope="per_class", labels=labels, flag_both=args.both_members
         )
-    title = Path(args.input).stem
-    tables = "\n\n".join(format_report_table(r, title=f"{title} ({r.scope})") for r in reports)
+    tables = _tables(reports, Path(args.input).stem)
     (out / "outliers.txt").write_text(tables + "\n")
     save_report_csv(reports, out / "outliers.csv")
     (out / "outliers.json").write_text(reports_to_json(reports))
@@ -265,26 +277,12 @@ def _cmd_outliers(args) -> int:
 def _cmd_calibrate(args) -> int:
     out = _outdir(args)
     if args.input:
-        header = {"auto": None, "yes": True, "no": False}[args.header]
-        m = load_matrix(args.input, fmt=args.format, has_header=header)
-        sorted_m = column_sort(m)
-        n, g = m.n_samples, m.n_features
-        cov = robust_covariance(sorted_m)
+        m = _load(args)
+        cal = _calibrate(args, out, m.n_samples, m.n_features, robust_covariance(m))
     else:
         if not args.samples or not args.features:
             raise DataError("calibrate needs --input or both --samples and --features")
-        n, g = args.samples, args.features
-        cov = np.eye(n)
-    cal = calibrate_g(
-        n=n,
-        n_features=g,
-        cov=cov,
-        target_rate=args.target_rate,
-        replicates=args.replicates,
-        seed=args.seed,
-        threads=args.threads,
-    )
-    (out / "calibration.json").write_text(cal.to_json())
+        cal = _calibrate(args, out, args.samples, args.features, np.eye(args.samples))
     print(f"g_factor = {cal.g_factor!r} ({out / 'calibration.json'})")
     return 0
 
@@ -316,28 +314,13 @@ def _cmd_report(args) -> int:
         raise DataError(f"no such file: {path}")
     kind = args.kind
     if kind is None:
-        if path.suffix == ".json":
-            kind = "outliers"
-        else:
-            head = path.open().readline()
-            kind = "study" if head.startswith("df,") else "outliers"
+        study = path.suffix != ".json" and path.read_text().startswith("df,")
+        kind = "study" if study else "outliers"
     if kind == "study":
         print(StudyReport.from_csv(path).format_table())
-        return 0
-    import json
-
-    if path.suffix == ".json":
-        payload = json.loads(path.read_text())
-        for rep in payload["reports"]:
-            print(f"[{rep['scope']}] benchmark {rep['benchmark']:,.1f}, "
-                  f"Tukey's constant {rep['tukey_constant']:g}")
-            for pair in rep["pairs"]:
-                members = "/".join(pair["members"])
-                print(f"  pair {members}: distance intra-pair {pair['distance']:,.1f}")
-            flagged = ", ".join(rep["flagged_samples"]) or "none"
-            print(f"  potential outliers: {flagged}")
-        return 0
-    raise DataError(f"cannot render {path} as a report")
+    else:
+        print(_tables(load_reports(path), path.stem))
+    return 0
 
 
 _COMMANDS = {
@@ -357,10 +340,7 @@ def main(argv=None) -> int:
         _apply_config(parser, argv)
         args = parser.parse_args(argv)
         return _COMMANDS[args.subcommand](args)
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

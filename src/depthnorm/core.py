@@ -45,7 +45,8 @@ class PartitionError(DataError):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    """Read-only view, so a caller's own array keeps its writeable flag."""
+    a = np.ascontiguousarray(a, dtype=np.float64).view()
     a.flags.writeable = False
     return a
 

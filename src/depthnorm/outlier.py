@@ -14,6 +14,7 @@ import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -27,6 +28,7 @@ from .core import (
     DimensionError,
     DomainError,
     ExpressionMatrix,
+    ParseError,
 )
 from .depth import Border, BorderSequence, DistanceMatrix, extract_borders
 
@@ -143,6 +145,8 @@ def _replicate_quantile(rng, n, n_features, factor, target_rate) -> float:
     dm = DistanceMatrix(_kernels.pairwise_dists(np.ascontiguousarray(x.T)))
     bs = extract_borders(dm)
     iqr = robust_iqr(bs)
+    if iqr == 0.0:
+        raise DegenerateScaleError("surrogate median border distance is 0; degenerate covariance")
     ratios = np.empty(n)
     for border in bs.borders:
         for j in border.members:
@@ -222,9 +226,6 @@ class OutlierReport:
     benchmark: float
     flagged_pairs: tuple[Border, ...]
     flagged_samples: tuple[FlaggedSample, ...]
-
-    def pair_labels(self) -> list[tuple[str, ...]]:
-        return [tuple(self.sample_ids[j] for j in b.members) for b in self.pairs]
 
 
 def _scope_report(
@@ -389,3 +390,59 @@ def reports_to_json(reports: list[OutlierReport]) -> str:
             }
         )
     return json.dumps({"reports": payload}, indent=2)
+
+
+def _csv_payload(path: Path) -> list[dict]:
+    """Regroup the rows of ``outliers.csv`` into the ``outliers.json`` layout."""
+    payload: dict[str, dict] = {}
+    with open(path, newline="") as fh:
+        for r in csv.DictReader(fh):
+            # the CSV repeats the scope's fields on every row but does not record the rule
+            rep = payload.setdefault(
+                r["scope"], dict(r, pairs=[], flagged_samples=[], rule="farther-from-deepest")
+            )
+            members = [r["member_1"]] + ([r["member_2"]] if r["member_2"] else [])
+            rep["pairs"].append({"members": members, "distance": r["distance_intra_pair"]})
+            if r["flagged_member"]:
+                rep["flagged_samples"].append(r["flagged_member"])
+    return list(payload.values())
+
+
+def _report_from_payload(d: dict) -> OutlierReport:
+    ids = tuple(s for p in d["pairs"] for s in p["members"])
+    col = {s: j for j, s in enumerate(ids)}
+    pairs = tuple(
+        Border(tuple(col[s] for s in p["members"]), float(p["distance"])) for p in d["pairs"]
+    )
+    pair_of = {j: k for k, b in enumerate(pairs) for j in b.members}
+    flagged = tuple(
+        FlaggedSample(s, col[s], pair_of[col[s]], d["rule"]) for s in d["flagged_samples"]
+    )
+    return OutlierReport(
+        scope=d["scope"],
+        sample_ids=ids,
+        pairs=pairs,
+        iqr_estimate=float(d["iqr_estimate"]),
+        g_factor=float(d["tukey_constant"]),
+        benchmark=float(d["benchmark"]),
+        flagged_pairs=pairs[: len({f.pair_index for f in flagged})],
+        flagged_samples=flagged,
+    )
+
+
+def load_reports(path) -> list[OutlierReport]:
+    """Read ``outliers.json`` or ``outliers.csv`` back into reports.
+
+    The files name each scope's samples but not their column positions,
+    so a loaded report's ``sample_ids`` lists the scope's samples in pair
+    order and its column indices refer to that tuple.
+    """
+    path = Path(path)
+    try:
+        if path.suffix.lower() == ".json":
+            payload = json.loads(path.read_text())["reports"]
+        else:
+            payload = _csv_payload(path)
+        return [_report_from_payload(d) for d in payload]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"{path}: not an outlier report ({e!r})") from None

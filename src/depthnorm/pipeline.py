@@ -22,6 +22,7 @@ from .core import (
     DomainError,
     ExpressionMatrix,
     PartitionError,
+    default_sample_ids,
 )
 
 DEFAULT_POLISH_MAX_ITER = 20
@@ -49,9 +50,7 @@ class ProbeMatrix:
             raise DimensionError("genes must be contiguous blocks numbered 0..G-1")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probe_to_gene", gene)
-        ids = tuple(self.sample_ids) if self.sample_ids else tuple(
-            str(j + 1) for j in range(v.shape[1])
-        )
+        ids = tuple(self.sample_ids) if self.sample_ids else default_sample_ids(v.shape[1])
         object.__setattr__(self, "sample_ids", ids)
 
     @classmethod
@@ -93,11 +92,11 @@ def median_polish(
     reconstructs the input: overall + row + col + residual.  The
     gene-by-sample summary is overall + col_effects.
     """
-    block = np.ascontiguousarray(block, dtype=np.float64)
+    block = np.array(block, dtype=np.float64, order="C")  # the kernel works in place
     if block.ndim != 2 or block.size == 0:
         raise DimensionError("median polish needs a non-empty 2-D block")
-    overall, row, col, resid = _kernels._polish_block(block, max_iter, tol)
-    return MedianPolishFit(float(overall), row, col, resid)
+    overall, row, col, resid = _kernels.polish_blocks(block[None], max_iter, tol)
+    return MedianPolishFit(float(overall[0]), row[0], col[0], resid[0])
 
 
 def biweight_location(
@@ -114,7 +113,7 @@ def biweight_location(
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     if x.size == 0:
         raise DomainError("biweight location of an empty sample")
-    return float(_kernels._biweight(x, c, eps, 50, 1e-9))
+    return float(_kernels.biweight_series(x[None], c, eps, 50, 1e-9)[0])
 
 
 def summarize_genes(

@@ -154,18 +154,14 @@ class StudyReport:
         labels = [_METHOD_LABEL.get(m, m) for m in methods]
         w = max(12, *(len(s) for s in labels)) + 2
         head = "".rjust(12) + "".join(s.rjust(w) for s in labels)
-        out = [f"datasets per cell: {self.n_datasets}", "", "Power".rjust(12), head]
-        for df, delta in cells:
-            row = f"df={df:g} d={delta:g}".rjust(12)
-            for m in methods:
-                row += f"{self.cell(df, delta, m).power:.2f}".rjust(w)
-            out.append(row)
-        out += ["", "False Discovery".rjust(12), head]
-        for df, delta in cells:
-            row = f"df={df:g} d={delta:g}".rjust(12)
-            for m in methods:
-                row += f"{self.cell(df, delta, m).false_discoveries:.2f}".rjust(w)
-            out.append(row)
+        out = [f"datasets per cell: {self.n_datasets}"]
+        for title, field in (("Power", "power"), ("False Discovery", "false_discoveries")):
+            out += ["", title.rjust(12), head]
+            for df, delta in cells:
+                row = f"df={df:g} d={delta:g}".rjust(12)
+                for m in methods:
+                    row += f"{getattr(self.cell(df, delta, m), field):.2f}".rjust(w)
+                out.append(row)
         return "\n".join(out)
 
 

@@ -51,7 +51,7 @@ def scalar_matrix(points):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # pay any JIT compilation cost outside the timed sections
+    # run each kernel once outside the timed sections
     m = scalar_matrix([0.0, 1.0, 2.0, 5.0])
     extract_borders(pairwise_distances(m))
     median_polish(np.arange(6.0).reshape(2, 3))

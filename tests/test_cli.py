@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from depthnorm import cli
 from depthnorm.cli import main
 
 
@@ -92,6 +93,17 @@ class TestOutliersCommand:
         ) == 0
         assert not (out / "calibration.json").exists()
 
+    def test_replicates_draw_from_a_full_rank_covariance(self, tmp_path):
+        # the covariance must come from unsorted columns: sorted ones all share
+        # one rank order, so every replicate returns the same quantile up to
+        # round-off (17.370095 +- 2e-6 here)
+        f = tmp_path / "random.csv"
+        np.savetxt(f, np.random.default_rng(0).lognormal(size=(300, 6)), delimiter=",")
+        out = tmp_path / "out"
+        assert run("outliers", "--input", f, "--replicates", "4", "--output-dir", out) == 0
+        quantiles = json.loads((out / "calibration.json").read_text())["per_replicate_quantiles"]
+        assert max(quantiles) - min(quantiles) > 0.01 * min(quantiles)
+
     def test_deterministic_outputs(self, matrix_file, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -115,6 +127,11 @@ class TestCalibrateCommand:
 
     def test_needs_input_or_sizes(self, tmp_path):
         assert run("calibrate", "--output-dir", tmp_path) == 1
+
+    def test_degenerate_covariance_is_a_data_error(self, matrix_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "robust_covariance", lambda m: np.zeros((m.n_samples,) * 2))
+        assert run("calibrate", "--input", matrix_file, "--replicates", "2",
+                   "--output-dir", tmp_path) == 1
 
 
 class TestSimulateCommand:
@@ -151,8 +168,30 @@ class TestReportCommand:
         text = capsys.readouterr().out
         assert "distance intra-pair" in text
 
+    def test_json_and_csv_render_as_the_outliers_table(self, matrix_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        run("outliers", "--input", matrix_file, "--classes", "1,1,2,2",
+            "--g-factor", "1.2", "--output-dir", out)
+        capsys.readouterr()
+        printed = []
+        for name in ("outliers.json", "outliers.csv"):
+            assert run("report", "--input", out / name) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
+        def untitled(text):
+            return [table.splitlines()[1:] for table in text.strip().split("\n\n")]
+
+        assert untitled(printed[0]) == untitled((out / "outliers.txt").read_text())
+        assert "potential outliers: s3" in printed[0]
+
     def test_missing_file(self, tmp_path):
         assert run("report", "--input", tmp_path / "nope.csv") == 1
+
+    def test_unreadable_report_is_a_data_error(self, tmp_path):
+        f = tmp_path / "outliers.json"
+        f.write_text('{"reports": [{"scope": "global"}]}')
+        assert run("report", "--input", f) == 1
 
 
 class TestConfigAndErrors:
@@ -176,6 +215,21 @@ class TestConfigAndErrors:
         ) == 0
         payload = json.loads((out / "outliers.json").read_text())
         assert payload["reports"][0]["tukey_constant"] == 2.5
+
+    def test_config_flag_with_equals_sign(self, matrix_file, tmp_path):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text("g_factor = 1.5\n")
+        out = tmp_path / "out"
+        assert run(
+            "outliers", "--input", matrix_file, f"--config={cfg}", "--output-dir", out
+        ) == 0
+        payload = json.loads((out / "outliers.json").read_text())
+        assert payload["reports"][0]["tukey_constant"] == 1.5
+
+    def test_config_flag_without_value_is_usage_error(self, matrix_file):
+        with pytest.raises(SystemExit) as exc:
+            run("normalize", "--input", matrix_file, "--config")
+        assert exc.value.code == 2
 
     def test_unknown_config_key(self, matrix_file, tmp_path):
         cfg = tmp_path / "run.toml"

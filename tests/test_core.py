@@ -78,6 +78,12 @@ class TestMatrixValidation:
         with pytest.raises(ValueError):
             m.values[0, 0] = 9.0
 
+    def test_callers_array_stays_writeable(self):
+        arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+        ExpressionMatrix(arr)
+        assert arr.flags.writeable
+        arr[0, 0] = 9.0
+
     def test_label_length_checked(self):
         with pytest.raises(DimensionError):
             ExpressionMatrix(np.ones((2, 2)), class_labels=(1, 1, 2))

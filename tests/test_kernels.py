@@ -1,97 +1,43 @@
-"""The numba kernels and the numpy fallbacks must agree numerically."""
-
-import os
-import subprocess
-import sys
+"""The batched numpy kernels agree block by block with the oracles."""
 
 import numpy as np
 import pytest
 
 from depthnorm import _kernels
+from oracles import biweight_oracle, medpolish_oracle
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-
-
-@needs_numba
-class TestBackendEquivalence:
-    def test_pairwise_distances(self):
-        rng = np.random.default_rng(0)
-        xt = rng.normal(size=(13, 500))
-        a = _kernels.pairwise_dists_numpy(xt)
-        b = _kernels.pairwise_dists_numba(xt)
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
-
-    def test_polish_block(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            block = rng.normal(size=(int(rng.integers(1, 15)), int(rng.integers(2, 10))))
-            o_np, r_np, c_np, res_np = _kernels._polish_block_numpy(block, 20, 0.01)
-            o_nb, r_nb, c_nb, res_nb = _kernels._polish_block_numba(block, 20, 0.01)
-            assert o_np == pytest.approx(o_nb, abs=1e-10)
-            assert np.allclose(r_np, r_nb, atol=1e-10)
-            assert np.allclose(c_np, c_nb, atol=1e-10)
-            assert np.allclose(res_np, res_nb, atol=1e-10)
-
-    @pytest.mark.parametrize(
-        "starts",
-        [
-            np.array([0, 5, 17, 30, 44, 60], dtype=np.int64),  # ragged: per-block path
-            np.array([0, 12, 24, 36, 48, 60], dtype=np.int64),  # uniform: batched path
-        ],
-    )
-    def test_polish_summaries(self, starts):
-        rng = np.random.default_rng(2)
-        values = rng.normal(size=(60, 7))
-        a = _kernels.polish_summaries_numpy(values, starts, 20, 0.01)
-        b = _kernels.polish_summaries_numba(values, starts, 20, 0.01)
-        assert np.allclose(a, b, atol=1e-10)
-
-    @pytest.mark.parametrize(
-        "starts",
-        [
-            np.array([0, 11, 23, 36, 48], dtype=np.int64),
-            np.array([0, 12, 24, 36, 48], dtype=np.int64),
-        ],
-    )
-    def test_biweight_summaries(self, starts):
-        rng = np.random.default_rng(3)
-        values = rng.standard_t(3, size=(48, 5))
-        a = _kernels.biweight_summaries_numpy(values, starts, 5.0, 1e-4, 50, 1e-9)
-        b = _kernels.biweight_summaries_numba(values, starts, 5.0, 1e-4, 50, 1e-9)
-        assert np.allclose(a, b, atol=1e-8)
+LAYOUTS = {
+    "uniform": np.array([0, 11, 22, 33, 44, 55], dtype=np.int64),
+    "ragged": np.array([0, 1, 4, 15, 22, 33, 38, 55], dtype=np.int64),
+}
 
 
-def test_batched_numpy_paths_match_per_block_loops():
+def blocks_of(values, starts):
+    return [values[starts[g]:starts[g + 1]] for g in range(starts.shape[0] - 1)]
+
+
+def test_polish_summaries_match_oracle_block_by_block():
     rng = np.random.default_rng(4)
     values = rng.standard_t(4, size=(55, 6))
-    starts = np.array([0, 11, 22, 33, 44, 55], dtype=np.int64)
-    batched = _kernels.polish_summaries_numpy(values, starts, 20, 0.01)
-    loop = np.empty_like(batched)
-    for g in range(5):
-        o, _, c, _ = _kernels._polish_block_numpy(values[starts[g]:starts[g + 1]], 20, 0.01)
-        loop[g] = o + c
-    assert np.allclose(batched, loop, atol=1e-10)
-
-    batched = _kernels.biweight_summaries_numpy(values, starts, 5.0, 1e-4, 50, 1e-9)
-    for g in range(5):
-        for j in range(6):
-            x = np.ascontiguousarray(values[starts[g]:starts[g + 1], j])
-            assert batched[g, j] == pytest.approx(
-                _kernels._biweight_numpy(x, 5.0, 1e-4, 50, 1e-9), abs=1e-8
-            )
+    values[::3] = np.round(values[::3], 1)  # ties
+    before = values.copy()
+    for name, starts in LAYOUTS.items():
+        got = _kernels.polish_summaries(values, starts, 20, 0.01)
+        assert np.array_equal(values, before)  # the kernel polishes a gathered copy
+        for g, block in enumerate(blocks_of(values, starts)):
+            overall, _, col, _ = medpolish_oracle(block, 20, 0.01)
+            assert np.allclose(got[g], overall + col, atol=1e-12), (name, g)
 
 
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, DEPTHNORM_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import depthnorm; print(depthnorm.backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+def test_biweight_summaries_match_oracle_block_by_block():
+    rng = np.random.default_rng(5)
+    values = rng.standard_t(3, size=(55, 6))
+    values[::4] = np.round(values[::4], 1)
+    for name, starts in LAYOUTS.items():
+        got = _kernels.biweight_summaries(values, starts, 5.0, 1e-4, 50, 1e-9)
+        for g, block in enumerate(blocks_of(values, starts)):
+            for j in range(values.shape[1]):
+                assert got[g, j] == pytest.approx(biweight_oracle(block[:, j]), abs=1e-12), (
+                    name, g, j,
+                )
 
-
-def test_backend_reports_a_known_name():
-    assert _kernels.backend() in {"numba", "numpy"}

@@ -82,6 +82,10 @@ class TestCalibration:
         cal = calibrate_g(5, 50, cov, replicates=2, seed=0)
         assert np.isfinite(cal.g_factor)
 
+    def test_zero_covariance_is_a_degenerate_scale(self):
+        with pytest.raises(DegenerateScaleError):
+            calibrate_g(4, 50, np.zeros((4, 4)))
+
 
 class TestRobustCovariance:
     def test_identical_columns_have_unit_correlation(self):
