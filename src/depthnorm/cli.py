@@ -21,6 +21,7 @@ from .core import (
     linear_prenormalize,
     load_class_labels,
     load_matrix,
+    read_text,
     save_matrix,
 )
 from .depth import depth_values, extract_borders, pairwise_distances, save_depth_csv
@@ -41,54 +42,54 @@ from .simulate import ALL_METHODS, SimulationConfig, StudyReport, run_grid
 DEFAULT_SEED = 1729
 
 
-def _parse_config_file(path: Path) -> dict:
-    """Flat key = value file; keys use the long option names."""
-    values: dict[str, object] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+def _config_tokens(parser: argparse.ArgumentParser, args) -> list[str]:
+    """The subcommand's flag tokens for the ``key = value`` lines of ``--config``.
+
+    Keys are long option names.  A list option takes a space- or
+    comma-separated list and an on/off flag takes ``true`` or ``false``;
+    argparse checks every value as if it were typed.
+    """
+    path = Path(args.config)
+    if not path.exists():
+        raise DataError(f"no such config file: {path}")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.subcommand]._actions if a.dest != "help"}
+    tokens: dict[str, list[str]] = {}
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        val = val.strip().strip("\"'")
-        if val.lower() in {"true", "false"}:
-            values[key] = val.lower() == "true"
-            continue
-        tokens = val.replace(",", " ").split()
-        try:
-            nums = [float(t) for t in tokens]
-        except ValueError:
-            values[key] = val
-            continue
-        if len(nums) == 1:
-            values[key] = int(nums[0]) if nums[0] == int(nums[0]) and "." not in val else nums[0]
+            raise DataError(f"{where}: expected 'key = value'")
+        key, _, val = (part.strip() for part in line.partition("="))
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise DataError(f"{where}: unknown key {key!r} for {args.subcommand!r}")
+        flag, val = action.option_strings[0], val.strip("\"'")
+        if action.nargs == 0:
+            if val.lower() not in {"true", "false"}:
+                raise DataError(f"{where}: {key} takes true or false, not {val!r}")
+            tokens[action.dest] = [flag] if val.lower() == "true" else []
+        elif action.nargs in ("+", 2):
+            tokens[action.dest] = [flag, *val.replace(",", " ").split()]
         else:
-            values[key] = nums
-    return values
+            tokens[action.dest] = [flag, val]
+    return [tok for toks in tokens.values() for tok in toks]
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Turn --config values into defaults of the invoked subparser."""
-    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
-    pre.add_argument("--config")
-    cfg = pre.parse_known_args(argv)[0].config
-    if cfg is None:
-        return
-    cfg_path = Path(cfg)
-    if not cfg_path.exists():
-        raise DataError(f"no such config file: {cfg_path}")
-    sub = next((tok for tok in argv if not tok.startswith("-")), None)
-    subparser = getattr(parser, "_subparser_map", {}).get(sub)
-    if subparser is None:
-        return
-    values = _parse_config_file(cfg_path)
-    known = {a.dest for a in subparser._actions}
-    unknown = sorted(set(values) - known)
-    if unknown:
-        raise DataError(f"unknown config keys for {sub!r}: {', '.join(unknown)}")
-    subparser.set_defaults(**values)
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv, reading ``--config`` as flags placed right after the subcommand.
+
+    argparse keeps the last value it reads, so flags typed on the command
+    line win over the file.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    at = argv.index(args.subcommand) + 1
+    return parser.parse_args(argv[:at] + _config_tokens(parser, args) + argv[at:])
 
 
 def _outdir(args) -> Path:
@@ -109,69 +110,52 @@ def _tables(reports, title: str) -> str:
     return "\n\n".join(format_report_table(r, title=f"{title} ({r.scope})") for r in reports)
 
 
-def _add_io_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="matrix file (features x samples)")
-    p.add_argument("--format", choices=("csv", "tsv"), default=None)
-    p.add_argument("--header", choices=("auto", "yes", "no"), default="auto")
-    p.add_argument("--output-dir", default=".", help="directory for artifacts")
-    p.add_argument("--config", default=None, help="key = value file overriding defaults")
-    p.add_argument("--filter-zeros", type=int, default=None, metavar="K",
-                   help="drop rows with more than K zero entries")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="depthnorm",
         description="Depth-based normalization and outlier screening for sample matrices.",
     )
+    # flags that several subcommands share, each declared once
+    fmt, out, matrix, run, cal = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    fmt.add_argument("--format", choices=("csv", "tsv"), default=None)
+    fmt.add_argument("--header", choices=("auto", "yes", "no"), default="auto")
+    out.add_argument("--output-dir", default=".", help="directory for artifacts")
+    out.add_argument("--config", default=None, help="key = value file overriding defaults")
+    matrix.add_argument("--input", required=True, help="matrix file (features x samples)")
+    matrix.add_argument("--filter-zeros", type=int, default=None, metavar="K",
+                        help="drop rows with more than K zero entries")
+    matrix.add_argument("--prenorm", choices=("median", "q75", "mean", "sum", "none"),
+                        default="median")
+    run.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    run.add_argument("--threads", type=int, default=1)
+    cal.add_argument("--target-rate", type=float, default=0.0001)
+    cal.add_argument("--replicates", type=int, default=100)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    submap = {}
-    parser._subparser_map = submap
 
-    def add_parser(name, **kw):
-        p = sub.add_parser(name, **kw)
-        submap[name] = p
-        return p
-
-    p = add_parser("normalize", help="map columns onto a common reference scale")
-    _add_io_args(p)
-    p.add_argument("--prenorm", choices=("median", "q75", "mean", "sum", "none"), default="median")
+    p = sub.add_parser("normalize", parents=[matrix, fmt, out],
+                       help="map columns onto a common reference scale")
     p.add_argument("--reference", choices=("deepest", "component-median"), default="deepest")
     p.add_argument("--mode", choices=("full", "subset"), default="full")
     p.add_argument("--grid-size", type=int, default=101, help="knots for subset mode")
     p.add_argument("--boxplot-svg", action="store_true", help="emit box plots of log(x+1) values")
 
-    p = add_parser("depth", help="depth of each sample column")
-    _add_io_args(p)
-    p.add_argument("--prenorm", choices=("median", "q75", "mean", "sum", "none"), default="median")
+    sub.add_parser("depth", parents=[matrix, fmt, out], help="depth of each sample column")
 
-    p = add_parser("outliers", help="flag outlying sample columns")
-    _add_io_args(p)
+    p = sub.add_parser("outliers", parents=[matrix, fmt, out, cal, run],
+                       help="flag outlying sample columns")
     p.add_argument("--classes", default=None, help="label file or inline comma list")
-    p.add_argument("--prenorm", choices=("median", "q75", "mean", "sum", "none"), default="median")
-    p.add_argument("--target-rate", type=float, default=0.0001)
-    p.add_argument("--replicates", type=int, default=100)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--g-factor", type=float, default=None,
                    help="skip calibration and use this multiplier")
     p.add_argument("--both-members", action="store_true",
                    help="flag both members of an exceeding pair")
-    p.add_argument("--threads", type=int, default=1)
 
-    p = add_parser("calibrate", help="Monte-Carlo fence calibration")
+    p = sub.add_parser("calibrate", parents=[fmt, out, cal, run],
+                       help="Monte-Carlo fence calibration")
     p.add_argument("--input", default=None, help="matrix to match (size and covariance)")
-    p.add_argument("--format", choices=("csv", "tsv"), default=None)
-    p.add_argument("--header", choices=("auto", "yes", "no"), default="auto")
     p.add_argument("--samples", type=int, default=None, help="n when no input is given")
     p.add_argument("--features", type=int, default=None, help="G when no input is given")
-    p.add_argument("--target-rate", type=float, default=0.0001)
-    p.add_argument("--replicates", type=int, default=100)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--output-dir", default=".")
-    p.add_argument("--config", default=None)
 
-    p = add_parser("simulate", help="normalization comparison study")
+    p = sub.add_parser("simulate", parents=[out, run], help="normalization comparison study")
     p.add_argument("--df", type=float, nargs="+", default=[10.0])
     p.add_argument("--delta", type=float, nargs="+", default=[0.0, 0.25, 0.5, 1.0, 2.0])
     p.add_argument("--datasets", type=int, default=20,
@@ -183,13 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distortion", type=float, nargs=2, default=[0.0, 2.0], metavar=("LO", "HI"))
     p.add_argument("--floor", type=float, default=0.001)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--methods", nargs="+", choices=ALL_METHODS, default=list(ALL_METHODS))
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--output-dir", default=".")
-    p.add_argument("--config", default=None)
 
-    p = add_parser("report", help="render a saved report as a text table")
+    p = sub.add_parser("report", help="render a saved report as a text table")
     p.add_argument("--input", required=True, help="outlier JSON/CSV or study CSV")
     p.add_argument("--kind", choices=("outliers", "study"), default=None)
 
@@ -312,10 +292,10 @@ def _cmd_report(args) -> int:
     path = Path(args.input)
     if not path.exists():
         raise DataError(f"no such file: {path}")
+    text = read_text(path)
     kind = args.kind
     if kind is None:
-        study = path.suffix != ".json" and path.read_text().startswith("df,")
-        kind = "study" if study else "outliers"
+        kind = "study" if path.suffix != ".json" and text.startswith("df,") else "outliers"
     if kind == "study":
         print(StudyReport.from_csv(path).format_table())
     else:
@@ -335,10 +315,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
         return _COMMANDS[args.subcommand](args)
     except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

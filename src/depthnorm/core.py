@@ -141,6 +141,18 @@ def _parse_cell(token: str, row: int, col: int) -> float:
         ) from None
 
 
+def _undecodable(path, e: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{path}: not {e.encoding} text (undecodable byte at offset {e.start})")
+
+
+def read_text(path) -> str:
+    """The whole file as text; an undecodable file is a ParseError naming it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise _undecodable(path, e) from None
+
+
 def load_matrix(path, fmt: Optional[str] = None, has_header: Optional[bool] = None) -> ExpressionMatrix:
     """Read a CSV/TSV matrix: one feature per row, one sample per column.
 
@@ -157,8 +169,11 @@ def load_matrix(path, fmt: Optional[str] = None, has_header: Optional[bool] = No
         raise ParseError(f"unknown format {fmt!r}; expected 'csv' or 'tsv'")
     delim = "\t" if fmt == "tsv" else ","
 
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh, delimiter=delim) if r]
+    try:
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh, delimiter=delim) if r]
+    except UnicodeDecodeError as e:
+        raise _undecodable(path, e) from None
     if not rows:
         raise ParseError(f"{path}: empty file")
 
@@ -215,7 +230,7 @@ def load_class_labels(source: str, n: int) -> ClassPartition:
     """Labels from a one-column file, or from an inline comma list."""
     p = Path(source)
     if p.exists():
-        tokens = [t.strip() for t in p.read_text().replace(",", "\n").split() if t.strip()]
+        tokens = [t.strip() for t in read_text(p).replace(",", "\n").split() if t.strip()]
     else:
         tokens = [t.strip() for t in source.split(",") if t.strip()]
     try:

@@ -350,7 +350,6 @@ def save_report_csv(reports: list[OutlierReport], path) -> None:
              "iqr_estimate", "benchmark", "tukey_constant", "flagged", "flagged_member"]
         )
         for rep in reports:
-            flagged_by_pair = {s.pair_index: s.sample_id for s in rep.flagged_samples}
             for k, b in enumerate(rep.pairs):
                 ids = [rep.sample_ids[j] for j in b.members]
                 w.writerow(
@@ -364,7 +363,7 @@ def save_report_csv(reports: list[OutlierReport], path) -> None:
                         repr(rep.benchmark),
                         repr(rep.g_factor),
                         int(k < len(rep.flagged_pairs)),
-                        flagged_by_pair.get(k, ""),
+                        ";".join(s.sample_id for s in rep.flagged_samples if s.pair_index == k),
                     ]
                 )
 
@@ -404,7 +403,7 @@ def _csv_payload(path: Path) -> list[dict]:
             members = [r["member_1"]] + ([r["member_2"]] if r["member_2"] else [])
             rep["pairs"].append({"members": members, "distance": r["distance_intra_pair"]})
             if r["flagged_member"]:
-                rep["flagged_samples"].append(r["flagged_member"])
+                rep["flagged_samples"] += r["flagged_member"].split(";")
     return list(payload.values())
 
 

@@ -1,11 +1,15 @@
+import argparse
 import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from depthnorm import cli
 from depthnorm.cli import main
+from depthnorm.core import DataError
 
 
 @pytest.fixture
@@ -185,6 +189,19 @@ class TestReportCommand:
         assert untitled(printed[0]) == untitled((out / "outliers.txt").read_text())
         assert "potential outliers: s3" in printed[0]
 
+    def test_both_members_survive_the_csv(self, tmp_path, capsys):
+        f = tmp_path / "five.csv"
+        f.write_text("s1,s2,s3,s4\n1,2,3,4\n2,3,4,5\n3,5,4,6\n4,4,6,7\n5,6,7,19\n")
+        out = tmp_path / "out"
+        run("outliers", "--input", f, "--g-factor", "1.2", "--both-members", "--output-dir", out)
+        capsys.readouterr()
+        flagged = []
+        for name in ("outliers.json", "outliers.csv"):
+            assert run("report", "--input", out / name) == 0
+            flagged.append([ln for ln in capsys.readouterr().out.splitlines()
+                            if ln.startswith("potential outliers")])
+        assert flagged[0] == flagged[1] == ["potential outliers: s2, s4"]
+
     def test_missing_file(self, tmp_path):
         assert run("report", "--input", tmp_path / "nope.csv") == 1
 
@@ -236,6 +253,21 @@ class TestConfigAndErrors:
         cfg.write_text("replicas = 4\n")
         assert run("outliers", "--input", matrix_file, "--config", cfg) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["depth", "--input", "{bad}"],
+        ["report", "--input", "{bad}"],
+        ["depth", "--input", "{good}", "--config", "{bad}"],
+        ["outliers", "--input", "{good}", "--g-factor", "1.2", "--classes", "{bad}"],
+    ], ids=["matrix", "report", "config", "classes"])
+    def test_undecodable_file_is_a_data_error(self, matrix_file, tmp_path, capsys, argv):
+        bad = tmp_path / "bin.csv"
+        bad.write_bytes(b"\xff\xfe\x00")
+        argv = [a.format(bad=bad, good=matrix_file) for a in argv]
+        if argv[0] != "report":
+            argv += ["--output-dir", str(tmp_path / "out")]
+        assert run(*argv) == 1
+        assert f"{bad}:" in capsys.readouterr().err
+
     def test_missing_input_is_a_data_error(self, tmp_path):
         assert run("depth", "--input", tmp_path / "absent.csv") == 1
 
@@ -253,3 +285,115 @@ class TestConfigAndErrors:
         with pytest.raises(SystemExit) as exc:
             run("normalize")
         assert exc.value.code == 2
+
+
+# subcommand -> argv that runs it quickly, apart from the --config file
+QUICK_ARGV = {
+    "outliers": ["--g-factor", "1.2"],
+    "simulate": ["--delta", "2", "--datasets", "2", "--genes", "40", "--probes-per-gene", "3",
+                 "--affected-genes", "8", "--samples", "8"],
+}
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("sub, line, code, expected", [
+        ("outliers", "replicates = 2.5", 2, "argument --replicates: invalid int value: '2.5'"),
+        ("outliers", "seed = 1.5", 2, "argument --seed: invalid int value: '1.5'"),
+        ("outliers", "header = maybe", 2, "argument --header: invalid choice: 'maybe'"),
+        ("simulate", "df = 10", 0, ("df", [10.0])),
+        ("simulate", "methods = RMA", 0, ("methods", ["RMA"])),
+        ("outliers", "classes = 1,1,2,2", 0, ("classes", "1,1,2,2")),
+        ("normalize", "boxplot_svg = no", 1, "{cfg}:2: boxplot_svg takes true or false"),
+        ("normalize", "boxplot_svg = yes", 1, "{cfg}:2: boxplot_svg takes true or false"),
+    ])
+    def test_value_is_checked_as_if_typed(
+        self, matrix_file, tmp_path, monkeypatch, capsys, sub, line, code, expected
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# settings\n{line}\n")
+        seen = []
+        command = cli._COMMANDS[sub]
+        monkeypatch.setitem(cli._COMMANDS, sub, lambda args: seen.append(args) or command(args))
+        argv = [sub, "--config", cfg, "--output-dir", tmp_path / "out", *QUICK_ARGV.get(sub, [])]
+        if sub != "simulate":
+            argv += ["--input", matrix_file]
+        try:
+            assert run(*argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        if code == 0:
+            dest, value = expected
+            assert getattr(seen[0], dest) == value
+        else:
+            assert expected.format(cfg=cfg) in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.svg"))
+
+
+# config syntax (space, comma, '#', quotes, newline) is left out of the junk
+JUNK_ITEM = st.text(alphabet="abxyz019.-+_e:=/", min_size=1, max_size=6)
+JUNK_SCALAR = st.text(alphabet="abxyz019.-+_e:=/, ", max_size=8).map(str.strip)
+
+
+def _config_keys(sub):
+    """The options a config file may set for ``sub``, minus any the argv needs."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in subparsers.choices[sub]._actions
+            if a.dest not in ("help", "config") and not a.required]
+
+
+def _value(action, text, clean):
+    """A value drawn from the option's choices or type, or else any text unless ``clean``."""
+    if action.choices:
+        valid = st.sampled_from(list(action.choices))
+    elif action.type in (int, float):
+        valid = (st.integers(-5, 500) if action.type is int else st.floats(allow_nan=False)).map(str)
+    else:
+        return text
+    return valid if clean else valid | text
+
+
+def _parsed(argv):
+    """The parsed namespace minus --config, or None if the input is rejected."""
+    try:
+        args = cli.parse_args(argv)
+    except DataError:
+        return None
+    except SystemExit as e:
+        assert e.code == 2
+        return None
+    return {k: repr(v) for k, v in vars(args).items() if k != "config"}
+
+
+class TestConfigMeansItsFlags:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_config_parses_like_the_same_flags_typed(self, tmp_path, data):
+        sub = data.draw(st.sampled_from(["normalize", "depth", "outliers", "calibrate", "simulate"]))
+        base = [sub] + (["--input", "m.csv"] if sub not in ("calibrate", "simulate") else [])
+        actions = data.draw(st.lists(st.sampled_from(_config_keys(sub)),
+                                     unique_by=lambda a: a.dest, max_size=5))
+        clean = data.draw(st.booleans())  # half the draws hold no junk, so most parse
+        lines, typed, bad_flag = [], [], False
+        for a in actions:
+            key = data.draw(st.sampled_from([a.dest, a.dest.replace("_", "-")]))
+            flag = a.option_strings[0]
+            if a.nargs == 0:
+                on_off = st.sampled_from(["true", "false", "TRUE"])
+                value = data.draw(on_off if clean else on_off | JUNK_SCALAR)
+                typed += [flag] if value.lower() == "true" else []
+                bad_flag |= value.lower() not in ("true", "false")
+            elif a.nargs in ("+", 2):
+                items = data.draw(st.lists(_value(a, JUNK_ITEM, clean), max_size=3))
+                value = data.draw(st.sampled_from([" ", ",", ", "])).join(items)
+                typed += [flag, *items]
+            else:
+                value = data.draw(_value(a, JUNK_SCALAR, clean))
+                typed += [flag, value]
+            lines.append(f"{key} = {value}")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        # an on/off flag has no typed form for other values; the file must reject them
+        expected = None if bad_flag else _parsed(base + typed)
+        assert _parsed(base + ["--config", str(cfg)]) == expected
