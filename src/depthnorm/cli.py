@@ -260,8 +260,10 @@ def _cmd_calibrate(args) -> int:
         m = _load(args)
         cal = _calibrate(args, out, m.n_samples, m.n_features, robust_covariance(m))
     else:
-        if not args.samples or not args.features:
+        if args.samples is None or args.features is None:
             raise DataError("calibrate needs --input or both --samples and --features")
+        if args.samples < 2 or args.features < 1:
+            raise DataError("calibrate needs --samples >= 2 and --features >= 1")
         cal = _calibrate(args, out, args.samples, args.features, np.eye(args.samples))
     print(f"g_factor = {cal.g_factor!r} ({out / 'calibration.json'})")
     return 0

@@ -67,7 +67,6 @@ class ExpressionMatrix:
 
     values: np.ndarray
     sample_ids: tuple[str, ...] = ()
-    class_labels: Optional[tuple[int, ...]] = None
     sorted_flag: bool = False
 
     def __post_init__(self):
@@ -87,11 +86,6 @@ class ExpressionMatrix:
         if len(ids) != n:
             raise DimensionError(f"{len(ids)} sample ids for {n} columns")
         object.__setattr__(self, "sample_ids", ids)
-        if self.class_labels is not None:
-            labels = tuple(int(x) for x in self.class_labels)
-            if len(labels) != n:
-                raise DimensionError(f"{len(labels)} class labels for {n} columns")
-            object.__setattr__(self, "class_labels", labels)
 
     @property
     def n_features(self) -> int:
@@ -102,8 +96,8 @@ class ExpressionMatrix:
         return self.values.shape[1]
 
     def with_values(self, values: np.ndarray, sorted_flag: bool = False) -> "ExpressionMatrix":
-        """New matrix with the same ids/labels and fresh values."""
-        return ExpressionMatrix(values, self.sample_ids, self.class_labels, sorted_flag)
+        """New matrix with the same ids and fresh values."""
+        return ExpressionMatrix(values, self.sample_ids, sorted_flag)
 
 
 @dataclass(frozen=True)

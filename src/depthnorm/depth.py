@@ -25,7 +25,6 @@ class DistanceMatrix:
     """Symmetric n x n matrix of inter-column distances."""
 
     d: np.ndarray
-    metric_tag: str = "L2"
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=np.float64)

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from . import _kernels
 from .core import (
@@ -31,6 +30,7 @@ from .core import (
     ParseError,
 )
 from .depth import Border, BorderSequence, DistanceMatrix, extract_borders
+from .normalize import ReferenceCurve, quantile_normalize_full
 
 
 def robust_iqr(bs: BorderSequence) -> float:
@@ -122,7 +122,8 @@ def robust_covariance(m: ExpressionMatrix) -> np.ndarray:
         j = int(np.flatnonzero(mad == 0)[0])
         raise DegenerateScaleError(f"column {m.sample_ids[j]!r} has zero MAD")
     scale = 1.4826 * mad
-    ranks = np.apply_along_axis(stats.rankdata, 0, m.values)
+    # ranks 1..G, tie runs averaged (rankdata's "average" ranks, exactly)
+    ranks = quantile_normalize_full(m, ReferenceCurve(np.arange(1.0, m.n_features + 1))).values
     rho = np.corrcoef(ranks, rowvar=False)
     corr = 2.0 * np.sin(np.pi * rho / 6.0)
     cov = corr * np.outer(scale, scale)
@@ -145,8 +146,11 @@ def _replicate_quantile(rng, n, n_features, factor, target_rate) -> float:
     dm = DistanceMatrix(_kernels.pairwise_dists(np.ascontiguousarray(x.T)))
     bs = extract_borders(dm)
     iqr = robust_iqr(bs)
-    if iqr == 0.0:
-        raise DegenerateScaleError("surrogate median border distance is 0; degenerate covariance")
+    # a rank-deficient covariance leaves border distances of round-off size only
+    if iqr <= 1e-6 * np.median(np.linalg.norm(x, axis=0)):
+        raise DegenerateScaleError(
+            f"surrogate median border distance {iqr!r} is round-off; degenerate covariance"
+        )
     ratios = np.empty(n)
     for border in bs.borders:
         for j in border.members:
@@ -187,11 +191,8 @@ def calibrate_g(
         rng = np.random.default_rng(children[i])
         return _replicate_quantile(rng, n, n_features, factor, target_rate)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            quantiles = list(pool.map(one, range(replicates)))
-    else:
-        quantiles = [one(i) for i in range(replicates)]
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        quantiles = list(pool.map(one, range(replicates)))
     return TukeyCalibration(
         g_factor=float(np.median(quantiles)),
         target_rate=target_rate,
@@ -240,6 +241,9 @@ def _scope_report(
     dm = DistanceMatrix(_kernels.pairwise_dists(np.ascontiguousarray(sub.T)))
     bs = extract_borders(dm)
     iqr = robust_iqr(bs)
+    # a zero scale would flag every pair that is apart at all
+    if iqr == 0.0 and bs.borders[0].distance > 0.0:
+        raise DegenerateScaleError(f"{scope}: median border distance is 0; the fence has no scale")
     benchmark = g_factor * iqr
 
     deep_members = bs.deepest_members

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ClassPartition, DimensionError, DomainError, ExpressionMatrix
+from .core import ClassPartition, DimensionError, DomainError, ExpressionMatrix, ParseError
 from .normalize import normalize_pipeline
 from .pipeline import ProbeMatrix, power_false_discovery, summarize_genes, two_sample_ttest
 
@@ -56,6 +56,8 @@ class SimulationConfig:
             raise DimensionError("n_samples must be even and >= 2 (two equal groups)")
         if min(self.n_genes, self.probes_per_gene, self.n_datasets) < 1:
             raise DimensionError("counts must be >= 1")
+        if not self.df > 0:
+            raise DomainError(f"df must be positive, got {self.df!r}")
         if not 0 <= self.affected_genes <= self.n_genes:
             raise DomainError("affected_genes must lie in [0, n_genes]")
         lo, hi = self.distortion_range
@@ -123,16 +125,19 @@ class StudyReport:
             rows = list(csv.DictReader(fh))
         if not rows:
             raise DomainError(f"{path}: empty study report")
-        return cls(
-            tuple(
-                StudyRow(
-                    float(r["df"]), float(r["delta"]), r["method"],
-                    float(r["power"]), float(r["false_discoveries"])
-                )
-                for r in rows
-            ),
-            int(rows[0]["n_datasets"]),
-        )
+        try:
+            return cls(
+                tuple(
+                    StudyRow(
+                        float(r["df"]), float(r["delta"]), r["method"],
+                        float(r["power"]), float(r["false_discoveries"])
+                    )
+                    for r in rows
+                ),
+                int(rows[0]["n_datasets"]),
+            )
+        except (KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"{path}: not a study report ({e!r})") from None
 
     def cell(self, df: float, delta: float, method: str) -> StudyRow:
         for r in self.rows:
@@ -214,11 +219,8 @@ def run_study(
     def one(ds: int) -> dict:
         return _one_dataset(cfg, ds, methods)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_ds = list(pool.map(one, range(cfg.n_datasets)))
-    else:
-        per_ds = [one(ds) for ds in range(cfg.n_datasets)]
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        per_ds = list(pool.map(one, range(cfg.n_datasets)))
 
     rows = []
     for method in methods:

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +142,14 @@ class TestCalibrateCommand:
                    "--output-dir", tmp_path) == 1
 
 
+def test_startup_does_not_import_scipy_stats():
+    root = Path(__file__).resolve().parents[1]
+    probe = "import sys, depthnorm.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], cwd=root, env={**os.environ,
+                         "PYTHONPATH": "src"}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestSimulateCommand:
     def test_single_cell_run(self, tmp_path):
         out = tmp_path / "out"
@@ -210,6 +222,21 @@ class TestReportCommand:
         f.write_text('{"reports": [{"scope": "global"}]}')
         assert run("report", "--input", f) == 1
 
+    @pytest.mark.parametrize("name, text", [
+        ("outliers.csv", None),  # an outlier report read as a study report
+        ("study.csv", "df,delta\n1,x\n"),
+    ])
+    def test_not_a_study_report_is_a_data_error(self, matrix_file, tmp_path, capsys, name, text):
+        f = tmp_path / name
+        if text is None:
+            run("outliers", "--input", matrix_file, "--g-factor", "1.2", "--output-dir", tmp_path)
+        else:
+            f.write_text(text)
+        capsys.readouterr()
+        assert run("report", "--kind", "study", "--input", f) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {f}: not a study report") and "Traceback" not in err
+
 
 class TestConfigAndErrors:
     def test_config_file_sets_defaults(self, matrix_file, tmp_path):
@@ -267,6 +294,16 @@ class TestConfigAndErrors:
             argv += ["--output-dir", str(tmp_path / "out")]
         assert run(*argv) == 1
         assert f"{bad}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--samples", "-3", "--features", "5"],
+        ["calibrate", "--samples", "1", "--features", "5"],
+        ["calibrate", "--samples", "4", "--features", "0"],
+        ["simulate", "--df", "0", "--datasets", "1", "--delta", "0"],
+    ], ids=["negative-samples", "one-sample", "no-features", "zero-df"])
+    def test_out_of_range_value_is_a_data_error(self, tmp_path, capsys, argv):
+        assert run(*argv, "--output-dir", tmp_path) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_input_is_a_data_error(self, tmp_path):
         assert run("depth", "--input", tmp_path / "absent.csv") == 1

@@ -84,10 +84,6 @@ class TestMatrixValidation:
         assert arr.flags.writeable
         arr[0, 0] = 9.0
 
-    def test_label_length_checked(self):
-        with pytest.raises(DimensionError):
-            ExpressionMatrix(np.ones((2, 2)), class_labels=(1, 1, 2))
-
 
 class TestFilterZeroRows:
     def test_keeps_rows_within_budget(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from depthnorm import (
     ClassPartition,
@@ -15,7 +16,7 @@ from depthnorm import (
     robust_covariance,
     robust_iqr,
 )
-from depthnorm.outlier import format_report_table, reports_to_json, save_report_csv
+from depthnorm.outlier import _psd_repair, format_report_table, reports_to_json, save_report_csv
 
 from oracles import hinge_iqr, tukey_fence_flags_extremes
 
@@ -86,6 +87,25 @@ class TestCalibration:
         with pytest.raises(DegenerateScaleError):
             calibrate_g(4, 50, np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("g", [6, 2000])
+    def test_rank_deficient_covariance_is_a_degenerate_scale(self, g):
+        # four identical columns: a rank-1 covariance, border distances of round-off size
+        col = np.arange(1.0, g + 1)[:, None]
+        cov = robust_covariance(ExpressionMatrix(np.tile(col, (1, 4))))
+        with pytest.raises(DegenerateScaleError, match="round-off"):
+            calibrate_g(4, g, cov, replicates=3)
+
+    def test_nearly_singular_covariances_still_calibrate(self):
+        rng = np.random.default_rng(8)
+        strong = np.full((4, 4), 0.999)
+        np.fill_diagonal(strong, 1.0)
+        vals = rng.normal(size=(200, 4))
+        vals[:, 1] = vals[:, 0]  # two identical columns out of four
+        for cov in (strong, robust_covariance(ExpressionMatrix(vals))):
+            for g in (6, 2000):
+                cal = calibrate_g(4, g, cov, replicates=3, seed=1)
+                assert np.isfinite(cal.g_factor) and cal.g_factor > 0
+
 
 class TestRobustCovariance:
     def test_identical_columns_have_unit_correlation(self):
@@ -123,6 +143,16 @@ class TestRobustCovariance:
         m = ExpressionMatrix(rng.normal(size=(30, 6)))
         w = np.linalg.eigvalsh(robust_covariance(m))
         assert w.min() >= -1e-10
+
+    def test_tied_ranks_match_scipy_rankdata_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        vals = rng.integers(0, 7, size=(60, 5)).astype(float) + rng.uniform(size=5)
+        m = ExpressionMatrix(vals)
+        med = np.median(vals, axis=0)
+        scale = 1.4826 * np.median(np.abs(vals - med), axis=0)
+        rho = np.corrcoef(np.apply_along_axis(stats.rankdata, 0, vals), rowvar=False)
+        expected = _psd_repair(2.0 * np.sin(np.pi * rho / 6.0) * np.outer(scale, scale))
+        assert np.array_equal(robust_covariance(m), expected)
 
 
 class TestDetectOutliers:
@@ -196,6 +226,23 @@ class TestDetectOutliers:
         assert all(r.g_factor == 1.2 for r in reports)
         class2 = reports[1]
         assert "8" in [f.sample_id for f in class2.flagged_samples]
+
+    @pytest.mark.parametrize("labels, scope", [(None, "global"), ((2,) * 5 + (1, 1), "class 2")])
+    def test_zero_fence_scale_names_the_scope(self, labels, scope):
+        # four identical columns and one shifted by +1: the median border distance is 0
+        col = np.arange(1.0, 7.0)[:, None]
+        vals = np.hstack([np.tile(col, (1, 4)), col + 1.0, 2.0 * col, 3.0 * col])
+        m = column_sort(ExpressionMatrix(vals[:, : len(labels) if labels else 5]))
+        kw = {"scope": "per_class", "labels": ClassPartition(labels)} if labels else {}
+        with pytest.raises(DegenerateScaleError, match=scope):
+            detect_outliers(m, TukeyCalibration.fixed(3.0), **kw)
+
+    def test_scope_of_identical_columns_flags_nothing(self):
+        col = np.arange(1.0, 7.0)[:, None]
+        m = column_sort(ExpressionMatrix(np.hstack([np.tile(col, (1, 4)), col + 1.0])))
+        labels = ClassPartition((1, 1, 2, 2, 2))
+        first = detect_outliers(m, TukeyCalibration.fixed(3.0), "per_class", labels)[0]
+        assert (first.benchmark, first.flagged_samples) == (0.0, ())
 
     def test_per_class_requires_labels(self):
         m = column_sort(ExpressionMatrix(np.random.default_rng(0).normal(size=(5, 4))))
