@@ -22,12 +22,11 @@ from .core import (
 from .depth import (
     Border,
     BorderSequence,
-    DepthResult,
     DistanceMatrix,
     deepest_curve,
-    depth_values,
     extract_borders,
     pairwise_distances,
+    peel_borders,
 )
 from .normalize import (
     PipelineResult,

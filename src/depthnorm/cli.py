@@ -24,7 +24,7 @@ from .core import (
     read_text,
     save_matrix,
 )
-from .depth import depth_values, extract_borders, pairwise_distances, save_depth_csv
+from .depth import peel_borders, save_depth_csv
 from .normalize import QuantileGrid, normalize_pipeline, save_reference_csv
 from .outlier import (
     TukeyCalibration,
@@ -101,7 +101,7 @@ def _outdir(args) -> Path:
 def _load(args):
     header = {"auto": None, "yes": True, "no": False}[args.header]
     m = load_matrix(args.input, fmt=args.format, has_header=header)
-    if getattr(args, "filter_zeros", None) is not None:
+    if args.filter_zeros is not None:
         m = filter_zero_rows(m, args.filter_zeros)
     return m
 
@@ -149,11 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--both-members", action="store_true",
                    help="flag both members of an exceeding pair")
 
-    p = sub.add_parser("calibrate", parents=[fmt, out, cal, run],
-                       help="Monte-Carlo fence calibration")
-    p.add_argument("--input", default=None, help="matrix to match (size and covariance)")
-    p.add_argument("--samples", type=int, default=None, help="n when no input is given")
-    p.add_argument("--features", type=int, default=None, help="G when no input is given")
+    p = sub.add_parser("calibrate", parents=[out, cal, run],
+                       help="Monte-Carlo fence calibration for an identity covariance")
+    p.add_argument("--samples", type=int, default=None, help="number of samples n")
+    p.add_argument("--features", type=int, default=None, help="number of features G")
 
     p = sub.add_parser("simulate", parents=[out, run], help="normalization comparison study")
     p.add_argument("--df", type=float, nargs="+", default=[10.0])
@@ -207,10 +206,9 @@ def _cmd_depth(args) -> int:
     if args.prenorm != "none":
         m = linear_prenormalize(m, args.prenorm)
     sorted_m = column_sort(m)
-    bs = extract_borders(pairwise_distances(sorted_m))
+    bs = peel_borders(sorted_m)
     save_depth_csv(sorted_m, bs, out / "depth.csv")
-    dr = depth_values(bs)
-    deepest = ", ".join(sorted_m.sample_ids[j] for j in dr.deepest)
+    deepest = ", ".join(sorted_m.sample_ids[j] for j in bs.deepest_members)
     print(f"wrote {out / 'depth.csv'} (deepest: {deepest})")
     return 0
 
@@ -256,15 +254,11 @@ def _cmd_outliers(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     out = _outdir(args)
-    if args.input:
-        m = _load(args)
-        cal = _calibrate(args, out, m.n_samples, m.n_features, robust_covariance(m))
-    else:
-        if args.samples is None or args.features is None:
-            raise DataError("calibrate needs --input or both --samples and --features")
-        if args.samples < 2 or args.features < 1:
-            raise DataError("calibrate needs --samples >= 2 and --features >= 1")
-        cal = _calibrate(args, out, args.samples, args.features, np.eye(args.samples))
+    if args.samples is None or args.features is None:
+        raise DataError("calibrate needs both --samples and --features")
+    if args.samples < 2 or args.features < 1:
+        raise DataError("calibrate needs --samples >= 2 and --features >= 1")
+    cal = _calibrate(args, out, args.samples, args.features, np.eye(args.samples))
     print(f"g_factor = {cal.g_factor!r} ({out / 'calibration.json'})")
     return 0
 

@@ -49,7 +49,11 @@ class Border:
 
 @dataclass(frozen=True)
 class BorderSequence:
-    """All borders in extraction order; they partition the column indices."""
+    """All borders in extraction order; they partition the column indices.
+
+    The sequence is the whole record of depth: ``border_index`` gives each
+    column the 1-based index of its border and ``depth`` divides it by n.
+    """
 
     borders: tuple[Border, ...]
     n: int
@@ -61,14 +65,16 @@ class BorderSequence:
     def deepest_members(self) -> tuple[int, ...]:
         return self.borders[-1].members
 
+    @property
+    def border_index(self) -> np.ndarray:
+        index = np.empty(self.n, dtype=np.intp)
+        for k, border in enumerate(self.borders, start=1):
+            index[list(border.members)] = k
+        return index
 
-@dataclass(frozen=True, eq=False)
-class DepthResult:
-    """Per-column depth: border index / n, with the deepest columns marked."""
-
-    depth_values: np.ndarray
-    border_index: np.ndarray
-    deepest: tuple[int, ...]
+    @property
+    def depth(self) -> np.ndarray:
+        return self.border_index / self.n
 
 
 def pairwise_distances(m: ExpressionMatrix) -> DistanceMatrix:
@@ -107,38 +113,35 @@ def extract_borders(dm: DistanceMatrix) -> BorderSequence:
     return BorderSequence(tuple(borders), n)
 
 
-def depth_values(bs: BorderSequence) -> DepthResult:
-    """Depth of each column: its border's 1-based index divided by n."""
-    border_index = np.zeros(bs.n, dtype=np.intp)
-    for k, border in enumerate(bs.borders, start=1):
-        for j in border.members:
-            border_index[j] = k
-    return DepthResult(border_index / bs.n, border_index, bs.deepest_members)
+def peel_borders(m: ExpressionMatrix) -> BorderSequence:
+    """Border sequence of the columns of ``m``, the one path from curves to depth.
+
+    Depth, the normalization reference and the outlier fence are all read
+    from this sequence; pass a column-sorted matrix for the paper's depth.
+    """
+    return extract_borders(pairwise_distances(m))
 
 
 def deepest_curve(m: ExpressionMatrix, borders: Optional[BorderSequence] = None):
-    """Reference curve from the deepest border of the sample.
+    """Reference curve: the component-wise mean of the deepest border's members.
 
     Intended for column-sorted matrices (the depth is defined on the
-    sorted curves).  A singleton deepest border returns that column; a
-    two-member border returns the component-wise average of the pair,
-    which is still non-decreasing.
+    sorted curves), where the mean of a deepest pair is still
+    non-decreasing and a singleton deepest border gives that column (a
+    -0.0 entry comes back as 0.0).
     """
     from .normalize import ReferenceCurve
 
     if borders is None:
-        borders = extract_borders(pairwise_distances(m))
+        borders = peel_borders(m)
     members = borders.deepest_members
-    if len(members) == 1:
-        return ReferenceCurve(m.values[:, members[0]], source_tag="deepest")
-    pair = m.values[:, list(members)]
-    return ReferenceCurve(pair.mean(axis=1), source_tag="deepest_pair_average")
+    tag = "deepest" if len(members) == 1 else "deepest_pair_average"
+    return ReferenceCurve(m.values[:, list(members)].mean(axis=1), source_tag=tag)
 
 
-def depth_records(m: ExpressionMatrix, bs: BorderSequence, dr: Optional[DepthResult] = None):
+def depth_records(m: ExpressionMatrix, bs: BorderSequence):
     """Rows for the depth CSV export, one per sample column."""
-    if dr is None:
-        dr = depth_values(bs)
+    border_index = bs.border_index
     partner = {}
     for border in bs.borders:
         if len(border.members) == 2:
@@ -146,7 +149,7 @@ def depth_records(m: ExpressionMatrix, bs: BorderSequence, dr: Optional[DepthRes
             partner[a], partner[b] = b, a
     rows = []
     for j in range(bs.n):
-        k = int(dr.border_index[j])
+        k = int(border_index[j])
         rows.append(
             {
                 "sample_id": m.sample_ids[j],

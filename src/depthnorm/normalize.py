@@ -16,7 +16,7 @@ from .core import (
     component_wise_median,
     linear_prenormalize,
 )
-from .depth import BorderSequence, DepthResult, deepest_curve, depth_values, extract_borders, pairwise_distances
+from .depth import BorderSequence, deepest_curve, peel_borders
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +146,7 @@ def quantile_normalize_subset(
 class PipelineResult(NamedTuple):
     matrix: ExpressionMatrix
     reference: ReferenceCurve
-    depth: Optional[DepthResult]
-    borders: Optional[BorderSequence] = None
+    borders: Optional[BorderSequence]
 
 
 def normalize_pipeline(
@@ -168,13 +167,11 @@ def normalize_pipeline(
     """
     work = linear_prenormalize(m, prenorm_anchor) if prenorm_anchor else m
     sorted_m = column_sort(work)
-    depth_result = None
     borders = None
     if reference == "component_median":
         ref = component_wise_median(sorted_m)
     elif reference == "deepest":
-        borders = extract_borders(pairwise_distances(sorted_m))
-        depth_result = depth_values(borders)
+        borders = peel_borders(sorted_m)
         ref = deepest_curve(sorted_m, borders)
     else:
         raise DomainError(f"unknown reference {reference!r}")
@@ -186,7 +183,7 @@ def normalize_pipeline(
         mapped = quantile_normalize_subset(work, ref, grid)
     else:
         raise DomainError(f"unknown mode {mode!r}")
-    return PipelineResult(mapped, ref, depth_result, borders)
+    return PipelineResult(mapped, ref, borders)
 
 
 def save_reference_csv(ref: ReferenceCurve, path) -> None:

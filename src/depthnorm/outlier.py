@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .core import (
     ClassPartition,
     DataError,
@@ -29,7 +28,7 @@ from .core import (
     ExpressionMatrix,
     ParseError,
 )
-from .depth import Border, BorderSequence, DistanceMatrix, extract_borders
+from .depth import Border, BorderSequence, deepest_curve, peel_borders
 from .normalize import ReferenceCurve, quantile_normalize_full
 
 
@@ -71,17 +70,6 @@ class TukeyCalibration:
                 "per_replicate_quantiles": list(self.per_replicate_quantiles),
             },
             indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TukeyCalibration":
-        d = json.loads(text)
-        return cls(
-            g_factor=d["g_factor"],
-            target_rate=d["target_rate"],
-            replicates=d["replicates"],
-            seed=d["seed"],
-            per_replicate_quantiles=tuple(d["per_replicate_quantiles"]),
         )
 
     @classmethod
@@ -143,18 +131,14 @@ def _normal_factor(cov: np.ndarray) -> np.ndarray:
 def _replicate_quantile(rng, n, n_features, factor, target_rate) -> float:
     z = rng.standard_normal((n_features, n))
     x = np.sort(z @ factor.T, axis=0)
-    dm = DistanceMatrix(_kernels.pairwise_dists(np.ascontiguousarray(x.T)))
-    bs = extract_borders(dm)
+    bs = peel_borders(ExpressionMatrix(x, sorted_flag=True))
     iqr = robust_iqr(bs)
     # a rank-deficient covariance leaves border distances of round-off size only
     if iqr <= 1e-6 * np.median(np.linalg.norm(x, axis=0)):
         raise DegenerateScaleError(
             f"surrogate median border distance {iqr!r} is round-off; degenerate covariance"
         )
-    ratios = np.empty(n)
-    for border in bs.borders:
-        for j in border.members:
-            ratios[j] = border.distance / iqr
+    ratios = bs.distances()[bs.border_index - 1] / iqr
     return float(np.quantile(ratios, 1.0 - target_rate))
 
 
@@ -230,24 +214,22 @@ class OutlierReport:
 
 
 def _scope_report(
-    values: np.ndarray,
+    m: ExpressionMatrix,
     columns: np.ndarray,
-    ids: tuple[str, ...],
     g_factor: float,
     scope: str,
     flag_both: bool,
 ) -> OutlierReport:
-    sub = np.ascontiguousarray(values[:, columns])
-    dm = DistanceMatrix(_kernels.pairwise_dists(np.ascontiguousarray(sub.T)))
-    bs = extract_borders(dm)
+    ids = m.sample_ids
+    sub = ExpressionMatrix(m.values[:, columns], sorted_flag=True)
+    bs = peel_borders(sub)
     iqr = robust_iqr(bs)
     # a zero scale would flag every pair that is apart at all
     if iqr == 0.0 and bs.borders[0].distance > 0.0:
         raise DegenerateScaleError(f"{scope}: median border distance is 0; the fence has no scale")
     benchmark = g_factor * iqr
 
-    deep_members = bs.deepest_members
-    deep_curve = sub[:, list(deep_members)].mean(axis=1)
+    deep_curve = deepest_curve(sub, bs).values
 
     flagged_pairs = []
     flagged = []
@@ -259,8 +241,8 @@ def _scope_report(
         if flag_both:
             chosen, rule = (a, b), "both-members"
         else:
-            da = np.linalg.norm(sub[:, a] - deep_curve)
-            db = np.linalg.norm(sub[:, b] - deep_curve)
+            da = np.linalg.norm(sub.values[:, a] - deep_curve)
+            db = np.linalg.norm(sub.values[:, b] - deep_curve)
             chosen, rule = ((b,) if db > da else (a,)), "farther-from-deepest"
         for c in chosen:
             flagged.append(FlaggedSample(ids[columns[c]], int(columns[c]), k, rule))
@@ -299,16 +281,14 @@ def detect_outliers(
         raise DomainError("detect_outliers requires column-sorted input (see column_sort)")
     if scope == "global":
         cols = np.arange(m.n_samples, dtype=np.intp)
-        return [_scope_report(m.values, cols, m.sample_ids, cal.g_factor, "global", flag_both)]
+        return [_scope_report(m, cols, cal.g_factor, "global", flag_both)]
     if scope == "per_class":
         if labels is None:
             raise DomainError("per-class scope requires class labels")
         reports = []
         for k in range(1, labels.class_count + 1):
             cols = labels.members(k)
-            reports.append(
-                _scope_report(m.values, cols, m.sample_ids, cal.g_factor, f"class {k}", flag_both)
-            )
+            reports.append(_scope_report(m, cols, cal.g_factor, f"class {k}", flag_both))
         return reports
     raise DomainError(f"unknown scope {scope!r}")
 

@@ -8,7 +8,6 @@ a Welch two-sample t-test with power / false-discovery bookkeeping.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -149,7 +148,6 @@ class TestResult:
     statistic: np.ndarray
     p_value: np.ndarray
     truth_labels: Optional[np.ndarray] = None
-    alpha: float = 0.05
 
     def __post_init__(self):
         p = np.asarray(self.p_value, dtype=np.float64)
@@ -165,7 +163,6 @@ def two_sample_ttest(
     gm: ExpressionMatrix,
     groups: ClassPartition,
     truth: Optional[np.ndarray] = None,
-    alpha: float = 0.05,
 ) -> TestResult:
     """Welch two-sample t-test per gene (two-sided).
 
@@ -193,7 +190,7 @@ def two_sample_ttest(
     unequal = degenerate & (m1 != m2)
     t[unequal] = np.where(m1[unequal] > m2[unequal], np.inf, -np.inf)
     p[unequal] = 0.0
-    return TestResult(t, p, truth, alpha)
+    return TestResult(t, p, truth)
 
 
 def power_false_discovery(tr: TestResult, alpha: float) -> tuple[float, int]:
@@ -209,19 +206,3 @@ def power_false_discovery(tr: TestResult, alpha: float) -> tuple[float, int]:
     false = int((flagged & ~truth).sum())
     return power, false
 
-
-def save_test_csv(tr: TestResult, path) -> None:
-    flagged = tr.p_value < tr.alpha
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["gene", "statistic", "p", "flagged", "truth"])
-        for i in range(tr.p_value.shape[0]):
-            w.writerow(
-                [
-                    i + 1,
-                    repr(float(tr.statistic[i])),
-                    repr(float(tr.p_value[i])),
-                    int(flagged[i]),
-                    "" if tr.truth_labels is None else int(tr.truth_labels[i]),
-                ]
-            )

@@ -126,7 +126,7 @@ class StudyReport:
         if not rows:
             raise DomainError(f"{path}: empty study report")
         try:
-            return cls(
+            report = cls(
                 tuple(
                     StudyRow(
                         float(r["df"]), float(r["delta"]), r["method"],
@@ -138,12 +138,21 @@ class StudyReport:
             )
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{path}: not a study report ({e!r})") from None
+        have = {(r.df, r.delta, r.method) for r in report.rows}
+        for df, delta in report.cells():
+            for method in report.methods():
+                if (df, delta, method) not in have:
+                    raise ParseError(f"{path}: no row for df={df!r}, delta={delta!r}, {method}")
+        return report
 
     def cell(self, df: float, delta: float, method: str) -> StudyRow:
         for r in self.rows:
             if r.df == df and r.delta == delta and r.method == method:
                 return r
         raise KeyError((df, delta, method))
+
+    def cells(self) -> list[tuple[float, float]]:
+        return sorted({(r.df, r.delta) for r in self.rows})
 
     def methods(self) -> list[str]:
         seen = []
@@ -155,14 +164,13 @@ class StudyReport:
     def format_table(self) -> str:
         """Text table: power block then false-discovery block per method."""
         methods = self.methods()
-        cells = sorted({(r.df, r.delta) for r in self.rows})
         labels = [_METHOD_LABEL.get(m, m) for m in methods]
         w = max(12, *(len(s) for s in labels)) + 2
         head = "".rjust(12) + "".join(s.rjust(w) for s in labels)
         out = [f"datasets per cell: {self.n_datasets}"]
         for title, field in (("Power", "power"), ("False Discovery", "false_discoveries")):
             out += ["", title.rjust(12), head]
-            for df, delta in cells:
+            for df, delta in self.cells():
                 row = f"df={df:g} d={delta:g}".rjust(12)
                 for m in methods:
                     row += f"{getattr(self.cell(df, delta, m), field):.2f}".rjust(w)
@@ -183,7 +191,7 @@ def _one_dataset(cfg: SimulationConfig, dataset_seed: int, methods: Sequence[str
         logged = ProbeMatrix(np.log2(res.matrix.values), pm.probe_to_gene, pm.sample_ids)
         for method_key, summarizer in summaries:
             gm = summarize_genes(logged, summarizer)
-            tr = two_sample_ttest(gm, groups, truth, cfg.alpha)
+            tr = two_sample_ttest(gm, groups, truth)
             out[method_key] = power_false_discovery(tr, cfg.alpha)
 
     if METHOD_RMA in methods:

@@ -112,6 +112,11 @@ class TestOutliersCommand:
         quantiles = json.loads((out / "calibration.json").read_text())["per_replicate_quantiles"]
         assert max(quantiles) - min(quantiles) > 0.01 * min(quantiles)
 
+    def test_degenerate_covariance_is_a_data_error(self, matrix_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "robust_covariance", lambda m: np.zeros((m.n_samples,) * 2))
+        assert run("outliers", "--input", matrix_file, "--replicates", "2",
+                   "--output-dir", tmp_path) == 1
+
     def test_deterministic_outputs(self, matrix_file, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -136,10 +141,10 @@ class TestCalibrateCommand:
     def test_needs_input_or_sizes(self, tmp_path):
         assert run("calibrate", "--output-dir", tmp_path) == 1
 
-    def test_degenerate_covariance_is_a_data_error(self, matrix_file, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "robust_covariance", lambda m: np.zeros((m.n_samples,) * 2))
-        assert run("calibrate", "--input", matrix_file, "--replicates", "2",
-                   "--output-dir", tmp_path) == 1
+    def test_matching_a_dataset_is_left_to_outliers(self, matrix_file, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("calibrate", "--input", matrix_file, "--output-dir", tmp_path)
+        assert exc.value.code == 2
 
 
 def test_startup_does_not_import_scipy_stats():
@@ -236,6 +241,14 @@ class TestReportCommand:
         assert run("report", "--kind", "study", "--input", f) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {f}: not a study report") and "Traceback" not in err
+
+    def test_study_report_missing_a_cell_is_a_data_error(self, tmp_path, capsys):
+        f = tmp_path / "incomplete.csv"
+        f.write_text("df,delta,method,power,false_discoveries,n_datasets\n"
+                     "10,0,RMA,5.0,1.0,2\n10,1,FDN-biweight,50.0,1.0,2\n")
+        assert run("report", "--input", f) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {f}: no row for df=10.0, delta=0.0, FDN-biweight\n"
 
 
 class TestConfigAndErrors:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthnorm import (
     DimensionError,
     ExpressionMatrix,
     column_sort,
     deepest_curve,
-    depth_values,
     extract_borders,
     pairwise_distances,
+    peel_borders,
 )
 from depthnorm.depth import DistanceMatrix, depth_records
 
@@ -110,29 +112,54 @@ class TestExtractBorders:
 
 class TestDepthValues:
     def test_worked_sample_depths(self):
-        bs = extract_borders(pairwise_distances(scalar_matrix(TEN_POINT_SAMPLE)))
-        dr = depth_values(bs)
-        assert dr.depth_values[4] == dr.depth_values[5] == 5 / 10
-        assert dr.depth_values[0] == dr.depth_values[9] == 1 / 10
-        assert dr.deepest == (4, 5)
+        bs = peel_borders(scalar_matrix(TEN_POINT_SAMPLE))
+        assert bs.depth[4] == bs.depth[5] == 5 / 10
+        assert bs.depth[0] == bs.depth[9] == 1 / 10
+        assert bs.deepest_members == (4, 5)
 
     def test_two_columns(self):
-        dr = depth_values(extract_borders(pairwise_distances(scalar_matrix([0.0, 2.0]))))
-        assert np.array_equal(dr.depth_values, [0.5, 0.5])
-        assert dr.deepest == (0, 1)
+        bs = peel_borders(scalar_matrix([0.0, 2.0]))
+        assert np.array_equal(bs.depth, [0.5, 0.5])
+        assert bs.deepest_members == (0, 1)
 
     def test_odd_unique_deepest(self):
-        dr = depth_values(extract_borders(pairwise_distances(scalar_matrix([0.0, 1.0, 10.0]))))
-        assert dr.depth_values[1] == pytest.approx(2 / 3)
-        assert dr.deepest == (1,)
+        bs = peel_borders(scalar_matrix([0.0, 1.0, 10.0]))
+        assert bs.depth[1] == pytest.approx(2 / 3)
+        assert bs.deepest_members == (1,)
 
     def test_depths_are_border_index_over_n(self):
         rng = np.random.default_rng(40)
-        m = ExpressionMatrix(rng.normal(size=(6, 9)))
-        bs = extract_borders(pairwise_distances(m))
-        dr = depth_values(bs)
-        assert np.array_equal(dr.depth_values, dr.border_index / 9)
-        assert dr.depth_values.max() == dr.border_index.max() / 9
+        bs = peel_borders(ExpressionMatrix(rng.normal(size=(6, 9))))
+        assert np.array_equal(bs.depth, bs.border_index / 9)
+        assert bs.depth.max() == bs.border_index.max() / 9
+
+
+@st.composite
+def tied_distance_matrices(draw):
+    """Symmetric integer-valued distance matrices, n = 2..9, with many ties."""
+    n = draw(st.integers(2, 9))
+    k = n * (n - 1) // 2
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    return d + d.T
+
+
+class TestBorderPathProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_distance_matrices())
+    def test_ties_match_the_rescanning_oracle(self, d):
+        got = [(b.members, b.distance) for b in extract_borders(DistanceMatrix(d)).borders]
+        assert got == borders_oracle(d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_distance_matrices())
+    def test_border_index_names_the_border_that_lists_each_column(self, d):
+        bs = extract_borders(DistanceMatrix(d))
+        n = d.shape[0]
+        assert sorted(j for b in bs.borders for j in b.members) == list(range(n))
+        for j in range(n):
+            assert j in bs.borders[bs.border_index[j] - 1].members
+        assert np.array_equal(bs.depth, bs.border_index / n)
 
 
 class TestDeepestCurve:

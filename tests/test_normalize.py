@@ -147,8 +147,8 @@ class TestPipeline:
         m = ExpressionMatrix(np.array([[0.0, 1.0, 10.0]]))
         res = normalize_pipeline(m, prenorm_anchor=None, reference="deepest")
         assert res.reference.values == pytest.approx([1.0])
-        assert res.depth is not None
-        assert res.depth.deepest == (1,)
+        assert res.borders is not None
+        assert res.borders.deepest_members == (1,)
 
     def test_component_median_full_mapping(self):
         m = ExpressionMatrix(np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]))
@@ -156,7 +156,7 @@ class TestPipeline:
         assert np.array_equal(res.reference.values, [5.5, 11.0, 16.5])
         assert np.array_equal(res.matrix.values[:, 0], [5.5, 11.0, 16.5])
         assert np.array_equal(res.matrix.values[:, 1], [5.5, 11.0, 16.5])
-        assert res.depth is None
+        assert res.borders is None
 
     def test_prenormalized_variant_agrees_here(self):
         m = ExpressionMatrix(np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]))

@@ -14,7 +14,7 @@ from depthnorm import (
     summarize_genes,
     two_sample_ttest,
 )
-from depthnorm.pipeline import TestResult, save_test_csv
+from depthnorm.pipeline import TestResult
 
 from oracles import biweight_oracle, medpolish_oracle
 
@@ -218,13 +218,3 @@ class TestPowerFalseDiscovery:
         tr = TestResult(np.zeros(3), np.ones(3))
         with pytest.raises(DomainError):
             power_false_discovery(tr, 0.05)
-
-    def test_csv_export(self, tmp_path):
-        import csv
-
-        tr = TestResult(np.array([1.0, -2.0]), np.array([0.5, 0.01]),
-                        truth_labels=np.array([False, True]))
-        path = tmp_path / "t.csv"
-        save_test_csv(tr, path)
-        rows = list(csv.DictReader(open(path)))
-        assert rows[1]["flagged"] == "1" and rows[1]["truth"] == "1"
