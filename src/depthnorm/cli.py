@@ -50,8 +50,6 @@ def _config_tokens(parser: argparse.ArgumentParser, args) -> list[str]:
     argparse checks every value as if it were typed.
     """
     path = Path(args.config)
-    if not path.exists():
-        raise DataError(f"no such config file: {path}")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = {a.dest: a for a in sub.choices[args.subcommand]._actions if a.dest != "help"}
     tokens: dict[str, list[str]] = {}
@@ -286,12 +284,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_report(args) -> int:
     path = Path(args.input)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    text = read_text(path)
-    kind = args.kind
-    if kind is None:
-        kind = "study" if path.suffix != ".json" and text.startswith("df,") else "outliers"
+    kind = args.kind or (
+        "study" if path.suffix != ".json" and read_text(path).startswith("df,") else "outliers"
+    )
     if kind == "study":
         print(StudyReport.from_csv(path).format_table())
     else:

@@ -8,8 +8,11 @@ matrices and never mutate their input.
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -126,25 +129,79 @@ class ClassPartition:
         return np.array([j for j, lab in enumerate(self.labels) if lab == k], dtype=np.intp)
 
 
-def _parse_cell(token: str, row: int, col: int) -> float:
+# ---------------------------------------------------------------------------
+# the table codec: every CSV/TSV file is read by read_rows and written by write_rows
+
+
+def _delimiter(path, fmt: Optional[str]) -> str:
+    """``fmt`` ('csv' or 'tsv'), else the suffix: .tsv, .tab and .txt are tab-separated."""
+    if fmt is None:
+        fmt = "tsv" if Path(path).suffix.lower() in {".tsv", ".tab", ".txt"} else "csv"
+    if fmt not in {"csv", "tsv"}:
+        raise ParseError(f"unknown format {fmt!r}; expected 'csv' or 'tsv'")
+    return "\t" if fmt == "tsv" else ","
+
+
+@contextmanager
+def _reading(path):
+    """The file open as text; a missing, undecodable or malformed file is a ParseError naming it."""
     try:
-        return float(token)
-    except ValueError:
-        raise ParseError(
-            f"non-numeric cell {token!r} at row {row}, column {col}"
-        ) from None
-
-
-def _undecodable(path, e: UnicodeDecodeError) -> ParseError:
-    return ParseError(f"{path}: not {e.encoding} text (undecodable byte at offset {e.start})")
+        with open(path, newline="") as fh:
+            yield fh
+    except FileNotFoundError:
+        raise ParseError(f"no such file: {path}") from None
+    except UnicodeDecodeError as e:
+        where = f"undecodable byte at offset {e.start}"
+        raise ParseError(f"{path}: not {e.encoding} text ({where})") from None
+    except csv.Error as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 def read_text(path) -> str:
-    """The whole file as text; an undecodable file is a ParseError naming it."""
+    """The whole file as text."""
+    with _reading(path) as fh:
+        return fh.read()
+
+
+def read_rows(path, delimiter: str = ",") -> list[list[str]]:
+    """The file's non-empty rows, each a list of str cells."""
+    with _reading(path) as fh:
+        return [r for r in csv.reader(fh, delimiter=delimiter) if r]
+
+
+def _first_row_quoted(path) -> bool:
+    """Whether the first non-blank line opens with a quote (a header to read verbatim)."""
+    with _reading(path) as fh:
+        return next((line for line in fh if line.strip("\r\n")), "").startswith('"')
+
+
+def _numeric(cells) -> bool:
     try:
-        return Path(path).read_text()
-    except UnicodeDecodeError as e:
-        raise _undecodable(path, e) from None
+        np.array(cells, dtype=np.float64)
+    except ValueError:
+        return False
+    return True
+
+
+def write_rows(dest, rows, delimiter: str = ",") -> Optional[str]:
+    """Write ``rows`` to ``dest``, a path or a text stream; with ``dest`` None, return the text.
+
+    Cells are str, int or Python float; csv writes a float as its repr,
+    which reads back exactly.  Row one is quoted in full when one of its
+    str cells reads as a number or has surrounding whitespace, so that a
+    reader can tell it is a header and take it verbatim.
+    """
+    if not hasattr(dest, "write"):
+        with io.StringIO() if dest is None else open(dest, "w", newline="") as fh:
+            write_rows(fh, rows, delimiter)
+            return fh.getvalue() if dest is None else None
+    rows = iter(rows)
+    for first in rows:
+        quote_all = any(isinstance(c, str) and (c != c.strip() or _numeric(c)) for c in first)
+        quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
+        csv.writer(dest, delimiter=delimiter, quoting=quoting).writerow(first)
+        break
+    csv.writer(dest, delimiter=delimiter).writerows(rows)
 
 
 def load_matrix(path, fmt: Optional[str] = None, has_header: Optional[bool] = None) -> ExpressionMatrix:
@@ -152,37 +209,19 @@ def load_matrix(path, fmt: Optional[str] = None, has_header: Optional[bool] = No
 
     ``fmt`` is 'csv' or 'tsv'; inferred from the file suffix when None.
     ``has_header`` controls whether the first row holds sample ids; when
-    None it is auto-detected (header = any non-numeric cell in row one).
+    None, row one is a header if the file quotes it or if one of its cells
+    is not a number.  A quoted header is read verbatim, an unquoted one
+    with each id stripped.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such file: {path}")
-    if fmt is None:
-        fmt = "tsv" if path.suffix.lower() in {".tsv", ".tab", ".txt"} else "csv"
-    if fmt not in {"csv", "tsv"}:
-        raise ParseError(f"unknown format {fmt!r}; expected 'csv' or 'tsv'")
-    delim = "\t" if fmt == "tsv" else ","
-
-    try:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh, delimiter=delim) if r]
-    except UnicodeDecodeError as e:
-        raise _undecodable(path, e) from None
+    rows = read_rows(path, _delimiter(path, fmt))
     if not rows:
         raise ParseError(f"{path}: empty file")
-
-    def _is_numeric_row(r):
-        try:
-            [float(tok) for tok in r]
-            return True
-        except ValueError:
-            return False
-
+    quoted = has_header is not False and _first_row_quoted(path)
     if has_header is None:
-        has_header = not _is_numeric_row(rows[0])
+        has_header = quoted or not _numeric(rows[0])
     sample_ids: tuple[str, ...] = ()
     if has_header:
-        sample_ids = tuple(tok.strip() for tok in rows[0])
+        sample_ids = tuple(tok if quoted else tok.strip() for tok in rows[0])
         rows = rows[1:]
         if not rows:
             raise ParseError(f"{path}: header but no data rows")
@@ -193,8 +232,13 @@ def load_matrix(path, fmt: Optional[str] = None, has_header: Optional[bool] = No
         rownum = i + (2 if has_header else 1)
         if len(r) != width:
             raise ParseError(f"ragged row at row {rownum}: {len(r)} cells, expected {width}")
-        for j, tok in enumerate(r):
-            data[i, j] = _parse_cell(tok.strip(), rownum, j + 1)
+        try:
+            data[i] = r
+        except ValueError:
+            j = next(j for j, tok in enumerate(r) if not _numeric(tok))
+            raise ParseError(
+                f"non-numeric cell {r[j].strip()!r} at row {rownum}, column {j + 1}"
+            ) from None
     if width < 2:
         raise DimensionError(f"need at least 2 sample columns, got {width}")
     if sample_ids and len(sample_ids) != width:
@@ -203,21 +247,17 @@ def load_matrix(path, fmt: Optional[str] = None, has_header: Optional[bool] = No
 
 
 def save_matrix(m: ExpressionMatrix, path, fmt: Optional[str] = None) -> None:
-    """Write a matrix in the same schema :func:`load_matrix` reads.
+    """Write a matrix that :func:`load_matrix` reads back exactly.
 
-    Default (all-numeric) sample ids are not written as a header row, so
-    the file reads back unambiguously.
+    Default sample ids ``1..n`` are not written; any others form a header
+    row, quoted in full when an id reads as a number or has surrounding
+    whitespace (see :func:`write_rows`).
     """
-    path = Path(path)
-    if fmt is None:
-        fmt = "tsv" if path.suffix.lower() in {".tsv", ".tab"} else "csv"
-    delim = "\t" if fmt == "tsv" else ","
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, delimiter=delim)
-        if m.sample_ids != default_sample_ids(m.n_samples):
-            w.writerow(m.sample_ids)
-        for row in m.values:
-            w.writerow([repr(float(x)) for x in row])
+    for s in m.sample_ids:
+        if len(s) > csv.field_size_limit():
+            raise DataError(f"sample id {s[:20]!r}... is longer than a CSV field can hold")
+    header = [] if m.sample_ids == default_sample_ids(m.n_samples) else [list(m.sample_ids)]
+    write_rows(path, chain(header, (row.tolist() for row in m.values)), _delimiter(path, fmt))
 
 
 def load_class_labels(source: str, n: int) -> ClassPartition:

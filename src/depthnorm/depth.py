@@ -10,14 +10,13 @@ the normalization reference.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .core import DimensionError, DomainError, ExpressionMatrix
+from .core import DimensionError, DomainError, ExpressionMatrix, write_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,14 +162,5 @@ def depth_records(m: ExpressionMatrix, bs: BorderSequence):
 
 
 def save_depth_csv(m: ExpressionMatrix, bs: BorderSequence, path) -> None:
-    rows = depth_records(m, bs)
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(
-            fh,
-            fieldnames=["sample_id", "border_index", "depth", "intra_pair_distance", "pair_partner_id"],
-        )
-        w.writeheader()
-        for r in rows:
-            r = dict(r)
-            r["intra_pair_distance"] = repr(r["intra_pair_distance"])
-            w.writerow(r)
+    fields = ["sample_id", "border_index", "depth", "intra_pair_distance", "pair_partner_id"]
+    write_rows(path, [fields, *([r[f] for f in fields] for r in depth_records(m, bs))])

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -15,6 +15,7 @@ from .core import (
     column_sort,
     component_wise_median,
     linear_prenormalize,
+    write_rows,
 )
 from .depth import BorderSequence, deepest_curve, peel_borders
 
@@ -96,10 +97,10 @@ def quantile_normalize_full(m: ExpressionMatrix, ref: ReferenceCurve) -> Express
         starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_col)) + 1))
         ends = np.concatenate((starts[1:], [g]))
         lengths = ends - starts
-        # untied values take the reference entry itself; only tie runs average
-        run_values = np.where(
-            lengths == 1, rv[starts], (csum[ends] - csum[starts]) / lengths
-        )
+        # untied values take the reference entry itself; only tie runs average,
+        # held within their run's reference values against round-off
+        means = np.clip((csum[ends] - csum[starts]) / lengths, rv[starts], rv[ends - 1])
+        run_values = np.where(lengths == 1, rv[starts], means)
         out[order, j] = np.repeat(run_values, lengths)
     return m.with_values(out)
 
@@ -187,8 +188,4 @@ def normalize_pipeline(
 
 
 def save_reference_csv(ref: ReferenceCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([ref.source_tag])
-        for x in ref.values:
-            w.writerow([repr(float(x))])
+    write_rows(path, chain([[ref.source_tag]], ([x] for x in ref.values.tolist())))

@@ -10,7 +10,6 @@ size, dimension, and inter-sample covariance.
 
 from __future__ import annotations
 
-import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,6 +26,9 @@ from .core import (
     DomainError,
     ExpressionMatrix,
     ParseError,
+    read_rows,
+    read_text,
+    write_rows,
 )
 from .depth import Border, BorderSequence, deepest_curve, peel_borders
 from .normalize import ReferenceCurve, quantile_normalize_full
@@ -327,29 +329,16 @@ def format_report_table(report: OutlierReport, title: str = "", max_pairs: int =
 
 
 def save_report_csv(reports: list[OutlierReport], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["scope", "pair_index", "member_1", "member_2", "distance_intra_pair",
-             "iqr_estimate", "benchmark", "tukey_constant", "flagged", "flagged_member"]
-        )
-        for rep in reports:
-            for k, b in enumerate(rep.pairs):
-                ids = [rep.sample_ids[j] for j in b.members]
-                w.writerow(
-                    [
-                        rep.scope,
-                        k + 1,
-                        ids[0],
-                        ids[1] if len(ids) > 1 else "",
-                        repr(b.distance),
-                        repr(rep.iqr_estimate),
-                        repr(rep.benchmark),
-                        repr(rep.g_factor),
-                        int(k < len(rep.flagged_pairs)),
-                        ";".join(s.sample_id for s in rep.flagged_samples if s.pair_index == k),
-                    ]
-                )
+    header = ["scope", "pair_index", "member_1", "member_2", "distance_intra_pair",
+              "iqr_estimate", "benchmark", "tukey_constant", "flagged", "flagged_member"]
+    rows = [header]
+    for rep in reports:
+        for k, b in enumerate(rep.pairs):
+            ids = [rep.sample_ids[j] for j in b.members] + [""]
+            flagged = ";".join(s.sample_id for s in rep.flagged_samples if s.pair_index == k)
+            rows.append([rep.scope, k + 1, ids[0], ids[1], b.distance, rep.iqr_estimate,
+                         rep.benchmark, rep.g_factor, int(k < len(rep.flagged_pairs)), flagged])
+    write_rows(path, rows)
 
 
 def reports_to_json(reports: list[OutlierReport]) -> str:
@@ -375,19 +364,18 @@ def reports_to_json(reports: list[OutlierReport]) -> str:
     return json.dumps({"reports": payload}, indent=2)
 
 
-def _csv_payload(path: Path) -> list[dict]:
+def _csv_payload(rows: list[list[str]]) -> list[dict]:
     """Regroup the rows of ``outliers.csv`` into the ``outliers.json`` layout."""
     payload: dict[str, dict] = {}
-    with open(path, newline="") as fh:
-        for r in csv.DictReader(fh):
-            # the CSV repeats the scope's fields on every row but does not record the rule
-            rep = payload.setdefault(
-                r["scope"], dict(r, pairs=[], flagged_samples=[], rule="farther-from-deepest")
-            )
-            members = [r["member_1"]] + ([r["member_2"]] if r["member_2"] else [])
-            rep["pairs"].append({"members": members, "distance": r["distance_intra_pair"]})
-            if r["flagged_member"]:
-                rep["flagged_samples"] += r["flagged_member"].split(";")
+    for r in (dict(zip(rows[0], cells)) for cells in rows[1:]):
+        # the CSV repeats the scope's fields on every row but does not record the rule
+        rep = payload.setdefault(
+            r["scope"], dict(r, pairs=[], flagged_samples=[], rule="farther-from-deepest")
+        )
+        members = [r["member_1"]] + ([r["member_2"]] if r["member_2"] else [])
+        rep["pairs"].append({"members": members, "distance": r["distance_intra_pair"]})
+        if r["flagged_member"]:
+            rep["flagged_samples"] += r["flagged_member"].split(";")
     return list(payload.values())
 
 
@@ -421,11 +409,10 @@ def load_reports(path) -> list[OutlierReport]:
     order and its column indices refer to that tuple.
     """
     path = Path(path)
+    is_json = path.suffix.lower() == ".json"
+    data = read_text(path) if is_json else read_rows(path)
     try:
-        if path.suffix.lower() == ".json":
-            payload = json.loads(path.read_text())["reports"]
-        else:
-            payload = _csv_payload(path)
+        payload = json.loads(data)["reports"] if is_json else _csv_payload(data)
         return [_report_from_payload(d) for d in payload]
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{path}: not an outlier report ({e!r})") from None

@@ -9,15 +9,15 @@ need for normalization.
 
 from __future__ import annotations
 
-import csv
-import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ClassPartition, DimensionError, DomainError, ExpressionMatrix, ParseError
+from .core import (
+    ClassPartition, DimensionError, DomainError, ExpressionMatrix, ParseError, read_rows, write_rows
+)
 from .normalize import normalize_pipeline
 from .pipeline import ProbeMatrix, power_false_discovery, summarize_genes, two_sample_ttest
 
@@ -104,25 +104,15 @@ class StudyReport:
     n_datasets: int
 
     def to_csv(self, path=None) -> Optional[str]:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["df", "delta", "method", "power", "false_discoveries", "n_datasets"])
-        for r in self.rows:
-            w.writerow(
-                [repr(r.df), repr(r.delta), r.method, repr(r.power),
-                 repr(r.false_discoveries), self.n_datasets]
-            )
-        text = buf.getvalue()
-        if path is None:
-            return text
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-        return None
+        header = ["df", "delta", "method", "power", "false_discoveries", "n_datasets"]
+        rows = ([r.df, r.delta, r.method, r.power, r.false_discoveries, self.n_datasets]
+                for r in self.rows)
+        return write_rows(path, [header, *rows])
 
     @classmethod
     def from_csv(cls, path) -> "StudyReport":
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        table = read_rows(path)
+        rows = [dict(zip(table[0], cells)) for cells in table[1:]]
         if not rows:
             raise DomainError(f"{path}: empty study report")
         try:

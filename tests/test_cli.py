@@ -309,6 +309,19 @@ class TestConfigAndErrors:
         assert f"{bad}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["depth", "--input", "{bad}", "--output-dir", "{out}"],
+        ["normalize", "--input", "{bad}", "--output-dir", "{out}"],
+        ["report", "--kind", "outliers", "--input", "{bad}"],
+        ["report", "--kind", "study", "--input", "{bad}"],
+    ], ids=["depth", "normalize", "report-outliers", "report-study"])
+    def test_field_over_the_csv_limit_is_a_data_error(self, tmp_path, capsys, argv):
+        bad = tmp_path / "long.csv"
+        bad.write_text("a,b\n" + "1" * 200_000 + ",2\n")
+        assert run(*(a.format(bad=bad, out=tmp_path / "out") for a in argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{bad}:" in err
+
+    @pytest.mark.parametrize("argv", [
         ["calibrate", "--samples", "-3", "--features", "5"],
         ["calibrate", "--samples", "1", "--features", "5"],
         ["calibrate", "--samples", "4", "--features", "0"],

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from depthnorm import (
     ClassPartition,
+    DataError,
     DegenerateScaleError,
     DimensionError,
     DomainError,
@@ -66,6 +70,78 @@ class TestLoadMatrix:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_matrix(tmp_path / "nope.csv")
+
+    def test_quoted_first_row_is_a_verbatim_header(self, tmp_path):
+        f = tmp_path / "m.csv"
+        f.write_text('\n"20","10"\n1,2\n')
+        assert load_matrix(f).sample_ids == ("20", "10")
+        assert load_matrix(f, has_header=False).n_features == 2
+        f.write_text('"a"," b "\n1,2\n')
+        assert load_matrix(f).sample_ids == ("a", " b ")
+
+    def test_unquoted_header_is_stripped(self, tmp_path):
+        f = tmp_path / "m.csv"
+        f.write_text("a , b\n1,2\n")
+        assert load_matrix(f).sample_ids == ("a", "b")
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestSaveMatrix:
+    @pytest.mark.parametrize("ids, header", [
+        (("20", "10"), '"20","10"'),
+        ((" a", "b"), '" a","b"'),
+        (("nan", "inf"), '"nan","inf"'),
+        (("S01", "S02"), "S01,S02"),
+    ])
+    def test_ids_that_read_as_numbers_or_padded_are_quoted(self, tmp_path, ids, header):
+        m = ExpressionMatrix(np.array([[0.5, 1.5], [2.0, 3.0], [4.0, 5.0]]), ids)
+        f = tmp_path / "m.csv"
+        save_matrix(m, f)
+        assert f.read_bytes().split(b"\r\n")[0] == header.encode()
+        back = load_matrix(f)
+        assert back.sample_ids == ids and _bits(back.values) == _bits(m.values)
+
+    def test_default_ids_write_no_header(self, tmp_path):
+        f = tmp_path / "m.csv"
+        save_matrix(ExpressionMatrix(np.array([[0.5, -0.0]])), f)
+        assert f.read_bytes() == b"0.5,-0.0\r\n"
+
+    def test_txt_is_tab_separated_both_ways(self, tmp_path):
+        m = ExpressionMatrix(np.array([[0.5, 1.5]]), ("a", "b"))
+        f = tmp_path / "m.txt"
+        save_matrix(m, f)
+        assert f.read_bytes() == b"a\tb\r\n0.5\t1.5\r\n"
+        assert _bits(load_matrix(f).values) == _bits(m.values)
+
+    def test_id_beyond_the_csv_field_limit_is_a_data_error(self, tmp_path):
+        m = ExpressionMatrix(np.zeros((1, 2)), ("x" * 200_000, "b"))
+        with pytest.raises(DataError, match="longer than a CSV field"):
+            save_matrix(m, tmp_path / "m.csv")
+
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        data=st.data(),
+        g=st.integers(1, 4),
+        n=st.integers(2, 4),
+        suffix=st.sampled_from([".csv", ".tsv", ".txt"]),
+    )
+    def test_save_then_load_is_exact(self, tmp_path, data, g, n, suffix):
+        # finite floats include -0.0 and the subnormals
+        values = data.draw(hnp.arrays(
+            np.float64, (g, n), elements=st.floats(allow_nan=False, allow_infinity=False)
+        ))
+        ids = data.draw(st.none() | st.lists(st.text(), min_size=n, max_size=n).map(tuple))
+        m = ExpressionMatrix(values, ids or ())
+        f = tmp_path / f"m{suffix}"
+        save_matrix(m, f)
+        back = load_matrix(f)
+        assert back.sample_ids == m.sample_ids
+        assert back.values.shape == m.values.shape
+        assert _bits(back.values) == _bits(m.values)
 
 
 class TestMatrixValidation:

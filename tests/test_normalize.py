@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from depthnorm import (
     DimensionError,
@@ -134,6 +137,48 @@ class TestSubsetMapping:
         for j in range(3):
             order = np.argsort(m.values[:, j])
             assert (np.diff(out.values[order, j]) >= 0).all()
+
+
+@st.composite
+def tied_columns_and_reference(draw):
+    """Integer columns over four levels, so most values are tied, and a sorted reference."""
+    g, n = draw(st.integers(1, 40)), draw(st.integers(2, 4))
+    cols = draw(hnp.arrays(np.int64, (g, n), elements=st.integers(0, 3)))
+    ref = draw(hnp.arrays(np.float64, g, elements=st.floats(-1e6, 1e6)))
+    return ExpressionMatrix(cols.astype(np.float64)), ReferenceCurve(np.sort(ref))
+
+
+def assert_order_and_range_kept(m, ref, out):
+    for j in range(m.n_samples):
+        order = np.argsort(m.values[:, j], kind="stable")
+        assert (np.diff(out.values[order, j]) >= 0).all()
+    assert ref.values.min() <= out.values.min() and out.values.max() <= ref.values.max()
+
+
+class TestQuantileMapProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_columns_and_reference())
+    def test_full_map_keeps_order_and_range(self, case):
+        m, ref = case
+        assert_order_and_range_kept(m, ref, quantile_normalize_full(m, ref))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_columns_and_reference(), st.integers(2, 12))
+    def test_subset_map_keeps_order_and_range(self, case, knots):
+        m, ref = case
+        out = quantile_normalize_subset(m, ref, QuantileGrid.uniform(knots))
+        assert_order_and_range_kept(m, ref, out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 40))
+    def test_full_map_of_a_tie_free_column_permutes_the_reference(self, data, g):
+        cols = np.column_stack(
+            [data.draw(st.permutations(range(g))) for _ in range(2)]
+        ).astype(np.float64)
+        ref = np.sort(data.draw(hnp.arrays(np.float64, g, elements=st.floats(-1e6, 1e6))))
+        out = quantile_normalize_full(ExpressionMatrix(cols), ReferenceCurve(ref))
+        for j in range(2):
+            assert np.array_equal(np.sort(out.values[:, j]), ref)
 
 
 class TestPipeline:

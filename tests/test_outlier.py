@@ -9,6 +9,7 @@ from depthnorm import (
     DegenerateScaleError,
     DomainError,
     ExpressionMatrix,
+    ParseError,
     TukeyCalibration,
     calibrate_g,
     column_sort,
@@ -17,7 +18,13 @@ from depthnorm import (
     robust_covariance,
     robust_iqr,
 )
-from depthnorm.outlier import _psd_repair, format_report_table, reports_to_json, save_report_csv
+from depthnorm.outlier import (
+    _psd_repair,
+    format_report_table,
+    load_reports,
+    reports_to_json,
+    save_report_csv,
+)
 
 from oracles import hinge_iqr, tukey_fence_flags_extremes
 
@@ -293,7 +300,17 @@ class TestReportOutputs:
 
         path = tmp_path / "out.csv"
         save_report_csv([self._report()], path)
-        rows = list(csv.DictReader(open(path)))
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 5
         assert rows[0]["flagged"] == "1" and rows[1]["flagged"] == "0"
         assert rows[0]["flagged_member"] == "1"
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00"], ids=["missing", "undecodable"])
+    def test_unreadable_file_is_a_parse_error(self, tmp_path, suffix, content):
+        path = tmp_path / f"outliers{suffix}"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ParseError, match=str(path)):
+            load_reports(path)

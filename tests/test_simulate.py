@@ -8,6 +8,7 @@ from depthnorm import (
     METHOD_RMA,
     DimensionError,
     DomainError,
+    ParseError,
     SimulationConfig,
     StudyReport,
     generate_dataset,
@@ -125,6 +126,14 @@ class TestStudyReport:
         report.to_csv(path)
         back = StudyReport.from_csv(path)
         assert back == report
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00"], ids=["missing", "undecodable"])
+    def test_unreadable_file_is_a_parse_error(self, tmp_path, content):
+        path = tmp_path / "study.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ParseError, match=str(path)):
+            StudyReport.from_csv(path)
 
     def test_cell_lookup(self):
         report = run_study(TINY, methods=[METHOD_FDN_MP])
