@@ -23,6 +23,29 @@ def pairwise_dists(xt: np.ndarray) -> np.ndarray:
     return d + d.T
 
 
+def gram_dists(x: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``x`` (n x G), from one Gram product.
+
+    Uses d² = ‖a‖² + ‖b‖² − 2a·b after subtracting each feature's mean
+    over the rows; on sorted curves, which share their trend, the
+    centring removes most of the cancellation.  Agrees with
+    ``pairwise_dists`` to round-off, not bit for bit, so only the
+    Monte-Carlo surrogates use it.  The error in d² is of order
+    eps * (‖a‖² + ‖b‖²) after centring, so a pair much closer than the
+    rows' spread loses relative accuracy.  Values whose squares overflow
+    give inf or nan entries, without a warning, for the caller's
+    ``DistanceMatrix`` to reject.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = x - x.mean(axis=0)
+        gram = c @ c.T
+        sq = np.diag(gram)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * gram
+        np.maximum(d2, 0.0, out=d2)
+        np.fill_diagonal(d2, 0.0)
+        return np.sqrt(d2)
+
+
 # ---------------------------------------------------------------------------
 # median polish
 

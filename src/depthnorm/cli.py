@@ -126,7 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
                         default="median")
     run.add_argument("--seed", type=int, default=DEFAULT_SEED)
     run.add_argument("--threads", type=int, default=1)
-    cal.add_argument("--target-rate", type=float, default=0.0001)
+    cal.add_argument("--target-rate", type=float, default=0.0001,
+                     help="each replicate keeps the (1 - rate) quantile of its n per-column "
+                          "ratios; the outermost pair's two members share the largest ratio, so "
+                          "every rate at or below 1/(n - 1) gives the same G (the default "
+                          "changes nothing for n <= 10,000)")
     cal.add_argument("--replicates", type=int, default=100)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -270,6 +270,10 @@ def load_class_labels(source: str, n: int) -> ClassPartition:
     try:
         labels = tuple(int(t) for t in tokens)
     except ValueError as e:
+        if not p.exists():
+            raise ParseError(
+                f"no such label file {source!r}, and it is not a comma list of integers"
+            ) from None
         raise ParseError(f"class labels must be integers: {e}") from None
     if len(labels) != n:
         raise PartitionError(f"{len(labels)} class labels for {n} columns")

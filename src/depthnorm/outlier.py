@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _kernels
 from .core import (
     ClassPartition,
     DataError,
@@ -30,7 +31,14 @@ from .core import (
     read_text,
     write_rows,
 )
-from .depth import Border, BorderSequence, deepest_curve, peel_borders
+from .depth import (
+    Border,
+    BorderSequence,
+    DistanceMatrix,
+    deepest_curve,
+    extract_borders,
+    peel_borders,
+)
 from .normalize import ReferenceCurve, quantile_normalize_full
 
 
@@ -82,7 +90,10 @@ class TukeyCalibration:
 
 def _psd_repair(cov: np.ndarray) -> np.ndarray:
     """Clip negative eigenvalues to zero, then rescale to keep the diagonal."""
-    sym = 0.5 * (cov + cov.T)
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (cov + cov.T)
+    if not np.isfinite(sym).all():
+        raise DataError("covariance overflows float64 (a non-finite entry); rescale the data")
     w, v = np.linalg.eigh(sym)
     if w.min() >= 0:
         return sym
@@ -116,7 +127,9 @@ def robust_covariance(m: ExpressionMatrix) -> np.ndarray:
     ranks = quantile_normalize_full(m, ReferenceCurve(np.arange(1.0, m.n_features + 1))).values
     rho = np.corrcoef(ranks, rowvar=False)
     corr = 2.0 * np.sin(np.pi * rho / 6.0)
-    cov = corr * np.outer(scale, scale)
+    # scales beyond about 1e154 overflow here; _psd_repair reports it
+    with np.errstate(over="ignore"):
+        cov = corr * np.outer(scale, scale)
     return _psd_repair(cov)
 
 
@@ -131,12 +144,17 @@ def _normal_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def _replicate_quantile(rng, n, n_features, factor, target_rate) -> float:
-    z = rng.standard_normal((n_features, n))
-    x = np.sort(z @ factor.T, axis=0)
-    bs = peel_borders(ExpressionMatrix(x, sorted_flag=True))
+    # sample-major: one contiguous row per surrogate curve, covariance factor @ factor.T
+    x = factor @ rng.standard_normal((n, n_features))
+    x.sort(axis=1)
+    bs = extract_borders(DistanceMatrix(_kernels.gram_dists(x)))
     iqr = robust_iqr(bs)
+    with np.errstate(over="ignore"):
+        size = np.median(np.linalg.norm(x, axis=1))
+    if not np.isfinite(size):
+        raise DataError("surrogate curve norms overflow float64; rescale the data")
     # a rank-deficient covariance leaves border distances of round-off size only
-    if iqr <= 1e-6 * np.median(np.linalg.norm(x, axis=0)):
+    if iqr <= 1e-6 * size:
         raise DegenerateScaleError(
             f"surrogate median border distance {iqr!r} is round-off; degenerate covariance"
         )
@@ -155,18 +173,31 @@ def calibrate_g(
 ) -> TukeyCalibration:
     """Estimate the fence multiplier from matched normal surrogates.
 
-    Each replicate draws an ``n_features x n`` matrix whose rows are
-    i.i.d. n-variate normals with covariance ``cov``, pushes it through
-    the same column-sort / border-extraction path as real data, and
-    records the empirical (1 - target_rate) quantile of the per-column
-    ratios (border distance / median border distance).  The calibrated
-    multiplier is the median of those quantiles.  Deterministic for a
-    given seed; replicates run on derived, order-independent seeds.
+    Each replicate draws ``n`` surrogate curves of ``n_features`` values,
+    one row each, as ``factor @ z`` for a standard normal ``z`` (n x
+    n_features) and ``factor @ factor.T == cov``; so each feature is an
+    n-variate normal with covariance ``cov``.  The rows are sorted in
+    place (the column-sort of real data), their distances come from one
+    Gram product (``_kernels.gram_dists``, whose round-off is far below
+    the Monte-Carlo spread of G), and ``extract_borders`` peels them as
+    it peels real data.  A replicate records the empirical (1 - target_rate)
+    quantile of the n per-column ratios (border distance / median border
+    distance); the calibrated multiplier is the median of those quantiles.
+
+    The two members of a border share one ratio, so the two largest of
+    the n ratios are equal and every ``target_rate`` at or below 1/(n - 1)
+    returns the largest ratio: the default 1e-4 changes nothing for
+    n <= 10,000.
+
+    Deterministic for a given seed; replicates run on derived,
+    order-independent seeds.
     """
     if replicates < 1:
         raise DomainError("need at least one replicate")
     if not 0.0 < target_rate < 1.0:
         raise DomainError("target_rate must lie in (0, 1)")
+    if n_features < 1:
+        raise DimensionError("need at least one feature per surrogate curve")
     cov = np.asarray(cov, dtype=np.float64)
     if cov.shape != (n, n):
         raise DimensionError(f"covariance must be {n}x{n}, got {cov.shape}")

@@ -117,6 +117,20 @@ class TestOutliersCommand:
         assert run("outliers", "--input", matrix_file, "--replicates", "2",
                    "--output-dir", tmp_path) == 1
 
+    def test_mistyped_label_file_is_named(self, matrix_file, tmp_path, capsys):
+        assert run("outliers", "--input", matrix_file, "--g-factor", "1.2",
+                   "--classes", "labelz.txt", "--output-dir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "no such label file 'labelz.txt'" in err and "invalid literal" not in err
+
+    @pytest.mark.parametrize("prenorm", ["median", "none"])
+    def test_covariance_overflow_is_a_data_error(self, tmp_path, capsys, prenorm):
+        f = tmp_path / "huge.csv"
+        np.savetxt(f, np.random.default_rng(0).lognormal(size=(200, 6)) * 1e200, delimiter=",")
+        assert run("outliers", "--input", f, "--replicates", "3", "--prenorm", prenorm,
+                   "--output-dir", tmp_path / "out") == 1
+        assert "covariance overflows" in capsys.readouterr().err
+
     def test_deterministic_outputs(self, matrix_file, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -12,6 +12,9 @@ LAYOUTS = {
 }
 
 
+GRAM_SHAPES = [(2, 1), (5, 3), (12, 2000), (64, 500), (24, 50_000)]
+
+
 def blocks_of(values, starts):
     return [values[starts[g]:starts[g + 1]] for g in range(starts.shape[0] - 1)]
 
@@ -41,3 +44,59 @@ def test_biweight_summaries_match_oracle_block_by_block():
                     name, g, j,
                 )
 
+
+
+# ---------------------------------------------------------------------------
+# gram_dists against the loop kernel
+
+
+def assert_close_to_loop(x):
+    got = _kernels.gram_dists(x)
+    want = _kernels.pairwise_dists(x)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    return got
+
+
+@pytest.mark.parametrize("shape", GRAM_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("sort", [False, True], ids=["random", "sorted-rows"])
+def test_gram_dists_match_the_loop_kernel(shape, sort):
+    x = np.random.default_rng(shape[0] * shape[1]).lognormal(1.0, 1.5, size=shape)
+    if sort:
+        x.sort(axis=1)  # curves sharing one trend, as the surrogates are
+    assert_close_to_loop(x)
+
+
+def test_gram_dists_of_rows_differing_by_a_constant_offset():
+    # a common trend far larger than the gaps: the centring removes it exactly
+    rng = np.random.default_rng(9)
+    trend = 1e6 + 1e3 * np.sort(rng.standard_normal(5000))
+    offsets = rng.permutation(24) * 0.75
+    d = assert_close_to_loop(trend + offsets[:, None])
+    gaps = np.abs(offsets[:, None] - offsets[None, :]) * np.sqrt(trend.size)
+    np.testing.assert_allclose(d, gaps, rtol=1e-9)
+
+
+@pytest.mark.parametrize("shape", GRAM_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_gram_dists_are_symmetric_with_a_zero_diagonal(shape):
+    d = _kernels.gram_dists(np.random.default_rng(3).standard_normal(shape))
+    assert np.array_equal(d, d.T)
+    assert np.array_equal(np.diag(d), np.zeros(shape[0]))
+
+
+def test_gram_dists_of_identical_rows_are_zero():
+    x = np.random.default_rng(5).standard_normal((24, 50_000))
+    x[[3, 17, 23]] = x[0]
+    d = _kernels.gram_dists(x)
+    for i, j in [(0, 3), (0, 17), (0, 23), (3, 17), (17, 23)]:
+        assert d[i, j] == d[j, i] == 0.0
+    assert (d[1:3, 4:17] > 0).all()
+
+
+def test_gram_dists_of_rows_apart_by_round_off_are_finite():
+    # d² of such a pair can round below 0; it must come back as a small distance
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((6, 1000))
+        x[1] = x[0] + 1e-12 * rng.standard_normal(1000)
+        d = _kernels.gram_dists(x)
+        assert 0.0 <= d[0, 1] < 1e-6, seed

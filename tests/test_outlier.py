@@ -6,7 +6,9 @@ from scipy import stats
 
 from depthnorm import (
     ClassPartition,
+    DataError,
     DegenerateScaleError,
+    DimensionError,
     DomainError,
     ExpressionMatrix,
     ParseError,
@@ -88,6 +90,19 @@ class TestCalibration:
         with pytest.raises(DomainError):
             calibrate_g(6, 30, np.eye(6), replicates=0)
 
+    def test_no_features_is_a_dimension_error(self):
+        with pytest.raises(DimensionError):
+            calibrate_g(6, 0, np.eye(6), replicates=2)
+
+    @pytest.mark.parametrize("scale, error, match", [
+        (1e308, DataError, "covariance overflows"),  # cov + cov.T overflows
+        (8e307, DomainError, "non-finite distance"),  # squared distances overflow
+        (1e306, DataError, "norms overflow"),  # the curves' squared norms overflow
+    ])
+    def test_overflow_is_a_data_error_without_a_warning(self, scale, error, match):
+        with pytest.raises(error, match=match):
+            calibrate_g(6, 2000, np.eye(6) * scale, replicates=2)
+
     def test_non_psd_covariance_is_repaired(self):
         cov = np.eye(5)
         cov[0, 1] = cov[1, 0] = 0.999
@@ -121,6 +136,11 @@ class TestCalibration:
 
 
 class TestRobustCovariance:
+    def test_overflow_is_a_data_error_without_a_warning(self):
+        values = np.random.default_rng(1).lognormal(size=(200, 6)) * 1e200
+        with pytest.raises(DataError, match="covariance overflows"):
+            robust_covariance(ExpressionMatrix(values))
+
     def test_identical_columns_have_unit_correlation(self):
         rng = np.random.default_rng(2)
         col = rng.normal(size=50)
