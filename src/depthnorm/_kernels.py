@@ -14,12 +14,17 @@ import numpy as np
 
 
 def pairwise_dists(xt: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of ``xt`` (n x G), as n x n."""
+    """Euclidean distances between the rows of ``xt`` (n x G), as n x n.
+
+    Values whose differences or squares overflow give inf entries,
+    without a warning, for the caller to reject.
+    """
     n = xt.shape[0]
     d = np.zeros((n, n))
-    for i in range(n - 1):
-        diff = xt[i + 1:] - xt[i]
-        d[i, i + 1:] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    with np.errstate(over="ignore"):
+        for i in range(n - 1):
+            diff = xt[i + 1:] - xt[i]
+            d[i, i + 1:] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return d + d.T
 
 

@@ -169,10 +169,15 @@ def read_rows(path, delimiter: str = ",") -> list[list[str]]:
         return [r for r in csv.reader(fh, delimiter=delimiter) if r]
 
 
+def _nonblank(lines):
+    """The first of ``lines`` that holds more than a line break, or None."""
+    return next((line for line in lines if line.strip("\r\n")), None)
+
+
 def _first_row_quoted(path) -> bool:
     """Whether the first non-blank line opens with a quote (a header to read verbatim)."""
     with _reading(path) as fh:
-        return next((line for line in fh if line.strip("\r\n")), "").startswith('"')
+        return (_nonblank(fh) or "").startswith('"')
 
 
 def _numeric(cells) -> bool:
@@ -181,6 +186,10 @@ def _numeric(cells) -> bool:
     except ValueError:
         return False
     return True
+
+
+# csv's excel dialect ends every written row with this
+LINE_END = "\r\n"
 
 
 def write_rows(dest, rows, delimiter: str = ",") -> Optional[str]:
@@ -199,21 +208,65 @@ def write_rows(dest, rows, delimiter: str = ",") -> Optional[str]:
     for first in rows:
         quote_all = any(isinstance(c, str) and (c != c.strip() or _numeric(c)) for c in first)
         quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
-        csv.writer(dest, delimiter=delimiter, quoting=quoting).writerow(first)
+        writer = csv.writer(dest, delimiter=delimiter, quoting=quoting, lineterminator=LINE_END)
+        writer.writerow(first)
         break
-    csv.writer(dest, delimiter=delimiter).writerows(rows)
+    csv.writer(dest, delimiter=delimiter, lineterminator=LINE_END).writerows(rows)
 
 
-def load_matrix(path, fmt: Optional[str] = None, has_header: Optional[bool] = None) -> ExpressionMatrix:
-    """Read a CSV/TSV matrix: one feature per row, one sample per column.
+# loadtxt strips these separators as whitespace and float() does not, so
+# a data line holding one is left to the per-row parse.  (loadtxt is given
+# no quote character: a quoted cell fails it and takes that parse too.)
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
-    ``fmt`` is 'csv' or 'tsv'; inferred from the file suffix when None.
-    ``has_header`` controls whether the first row holds sample ids; when
-    None, row one is a header if the file quotes it or if one of its cells
-    is not a number.  A quoted header is read verbatim, an unquoted one
-    with each id stripped.
+
+def _plain_lines(lines, limit: int):
+    """``lines``, raising ValueError at one loadtxt might read unlike csv and float()."""
+    for line in lines:
+        # an unquoted field is no longer than its line, so this check
+        # leaves every over-long field to csv
+        if len(line) > limit:
+            raise ValueError("line longer than a CSV field")
+        for c in _SEPARATORS:
+            if c in line:
+                raise ValueError("line holds a separator character")
+        yield line
+
+
+def _parse_fast(fh, delimiter: str, has_header: Optional[bool]):
+    """(values, sample ids) from one pass over ``fh``.
+
+    Row one is read by csv and judged a header by the rules of
+    :func:`_parse_rows`; the remaining lines go to one ``np.loadtxt``
+    call.  None, or a ValueError, means the per-row parse must decide.
     """
-    rows = read_rows(path, _delimiter(path, fmt))
+    lines = iter(fh)
+    first = _nonblank(lines)
+    if first is None:
+        return None
+    sample_ids: tuple[str, ...] = ()
+    if has_header is not False:
+        quoted = first.startswith('"')
+        head = next(csv.reader(chain([first], lines), delimiter=delimiter))
+        if has_header or quoted or not _numeric(head):
+            sample_ids = tuple(tok if quoted else tok.strip() for tok in head)
+    rows = _plain_lines(lines if sample_ids else chain([first], lines), csv.field_size_limit())
+    # loadtxt warns on input without data, so find the first data line here
+    row = _nonblank(rows)
+    if row is None:
+        return None
+    data = np.loadtxt(
+        chain([row], rows), delimiter=delimiter, comments=None, ndmin=2, dtype=np.float64
+    )
+    width = data.shape[1]
+    if width < 2 or (sample_ids and len(sample_ids) != width):
+        return None
+    return data, sample_ids
+
+
+def _parse_rows(path, delimiter: str, has_header: Optional[bool]):
+    """(values, sample ids) cell by cell, raising a ParseError that names the bad row."""
+    rows = read_rows(path, delimiter)
     if not rows:
         raise ParseError(f"{path}: empty file")
     quoted = has_header is not False and _first_row_quoted(path)
@@ -243,6 +296,31 @@ def load_matrix(path, fmt: Optional[str] = None, has_header: Optional[bool] = No
         raise DimensionError(f"need at least 2 sample columns, got {width}")
     if sample_ids and len(sample_ids) != width:
         raise ParseError(f"header has {len(sample_ids)} names for {width} columns")
+    return data, sample_ids
+
+
+def load_matrix(path, fmt: Optional[str] = None, has_header: Optional[bool] = None) -> ExpressionMatrix:
+    """Read a CSV/TSV matrix: one feature per row, one sample per column.
+
+    ``fmt`` is 'csv' or 'tsv'; inferred from the file suffix when None.
+    ``has_header`` controls whether the first row holds sample ids; when
+    None, row one is a header if the file quotes it or if one of its cells
+    is not a number.  A quoted header is read verbatim, an unquoted one
+    with each id stripped.
+
+    The file is read once: csv takes row one and a single ``np.loadtxt``
+    call the data lines.  A file that call cannot read the way csv and
+    ``float()`` would (quoted data cells, ragged or non-numeric rows,
+    spellings such as ``1_0``) is parsed again row by row, which gives
+    the same values or a ParseError naming the row and column.
+    """
+    delimiter = _delimiter(path, fmt)
+    try:
+        with _reading(path) as fh:
+            parsed = _parse_fast(fh, delimiter, has_header)
+    except ValueError:
+        parsed = None
+    data, sample_ids = parsed or _parse_rows(path, delimiter, has_header)
     return ExpressionMatrix(data, sample_ids)
 
 
@@ -251,13 +329,24 @@ def save_matrix(m: ExpressionMatrix, path, fmt: Optional[str] = None) -> None:
 
     Default sample ids ``1..n`` are not written; any others form a header
     row, quoted in full when an id reads as a number or has surrounding
-    whitespace (see :func:`write_rows`).
+    whitespace (see :func:`write_rows`).  A cell is its float's repr, as
+    csv writes it; each distinct value (by bit pattern, so ``-0.0`` stays
+    apart from ``0.0``) is formatted once, since a quantile-normalized
+    matrix holds at most one value per row.
     """
     for s in m.sample_ids:
         if len(s) > csv.field_size_limit():
             raise DataError(f"sample id {s[:20]!r}... is longer than a CSV field can hold")
-    header = [] if m.sample_ids == default_sample_ids(m.n_samples) else [list(m.sample_ids)]
-    write_rows(path, chain(header, (row.tolist() for row in m.values)), _delimiter(path, fmt))
+    delimiter = _delimiter(path, fmt)
+    bits, inverse = np.unique(m.values.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    # the repr of a finite float holds no delimiter, quote or line break,
+    # so csv would have written every data cell unquoted
+    cells = texts[inverse.reshape(m.values.shape)].tolist()
+    with open(path, "w", newline="") as fh:
+        if m.sample_ids != default_sample_ids(m.n_samples):
+            write_rows(fh, [m.sample_ids], delimiter)
+        fh.writelines(delimiter.join(row) + LINE_END for row in cells)
 
 
 def load_class_labels(source: str, n: int) -> ClassPartition:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .core import DimensionError, DomainError, ExpressionMatrix, write_rows
+from .core import DataError, DimensionError, DomainError, ExpressionMatrix, write_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +78,13 @@ class BorderSequence:
 
 def pairwise_distances(m: ExpressionMatrix) -> DistanceMatrix:
     """Euclidean distance between every pair of columns."""
-    xt = np.ascontiguousarray(m.values.T)
-    return DistanceMatrix(_kernels.pairwise_dists(xt))
+    d = _kernels.pairwise_dists(np.ascontiguousarray(m.values.T))
+    # the values are finite, so a non-finite distance is an overflow
+    if not np.isfinite(d).all():
+        raise DataError(
+            "column distances overflow float64: the values are too large; rescale the data"
+        )
+    return DistanceMatrix(d)
 
 
 def extract_borders(dm: DistanceMatrix) -> BorderSequence:

@@ -198,6 +198,8 @@ def calibrate_g(
         raise DomainError("target_rate must lie in (0, 1)")
     if n_features < 1:
         raise DimensionError("need at least one feature per surrogate curve")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     cov = np.asarray(cov, dtype=np.float64)
     if cov.shape != (n, n):
         raise DimensionError(f"covariance must be {n}x{n}, got {cov.shape}")

@@ -56,15 +56,21 @@ class SimulationConfig:
             raise DimensionError("n_samples must be even and >= 2 (two equal groups)")
         if min(self.n_genes, self.probes_per_gene, self.n_datasets) < 1:
             raise DimensionError("counts must be >= 1")
-        if not self.df > 0:
-            raise DomainError(f"df must be positive, got {self.df!r}")
+        if not 0 < self.df < np.inf:
+            raise DomainError(f"df must be positive and finite, got {self.df!r}")
+        if not 0 <= self.delta < np.inf:
+            raise DomainError(f"delta must be finite and non-negative, got {self.delta!r}")
         if not 0 <= self.affected_genes <= self.n_genes:
             raise DomainError("affected_genes must lie in [0, n_genes]")
         lo, hi = self.distortion_range
+        if not np.isfinite([lo, hi]).all():
+            raise DomainError(f"distortion range must be finite, got {lo!r} {hi!r}")
         if hi < lo:
             raise DomainError("empty distortion range")
-        if self.negative_floor <= 0:
-            raise DomainError("negative_floor must be positive")
+        if not 0 < self.negative_floor < np.inf:
+            raise DomainError("negative_floor must be positive and finite")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
 
 def generate_dataset(cfg: SimulationConfig, dataset_seed: int) -> tuple[ProbeMatrix, np.ndarray]:

@@ -3,8 +3,13 @@
 These deliberately share no code with the package: the border oracle
 rescans the full distance matrix every round (O(n^3)), the fence oracle
 applies the classic one-dimensional rule, and the biweight oracle is a
-direct transcription of the weighting iteration.
+direct transcription of the weighting iteration.  The matrix text
+oracles are the cell-by-cell reader and the csv.writer writer that the
+vectorized ``load_matrix`` and ``save_matrix`` must match.
 """
+
+import csv
+from itertools import chain
 
 import numpy as np
 
@@ -99,3 +104,77 @@ def medpolish_oracle(block: np.ndarray, max_iter: int, tol: float):
             break
         oldsum = s
     return overall, row, col, resid
+
+
+def _oracle_numeric(cells) -> bool:
+    try:
+        np.array(cells, dtype=np.float64)
+    except ValueError:
+        return False
+    return True
+
+
+def load_matrix_oracle(path, delimiter: str, has_header=None):
+    """(values, sample ids) read cell by cell with csv, or ValueError with load_matrix's message."""
+    try:
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
+        with open(path, newline="") as fh:
+            first = next((line for line in fh if line.strip("\r\n")), "")
+    except FileNotFoundError:
+        raise ValueError(f"no such file: {path}") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(
+            f"{path}: not {e.encoding} text (undecodable byte at offset {e.start})"
+        ) from None
+    except csv.Error as e:
+        raise ValueError(f"{path}: {e}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    quoted = has_header is not False and first.startswith('"')
+    if has_header is None:
+        has_header = quoted or not _oracle_numeric(rows[0])
+    ids = ()
+    if has_header:
+        ids = tuple(tok if quoted else tok.strip() for tok in rows[0])
+        rows = rows[1:]
+        if not rows:
+            raise ValueError(f"{path}: header but no data rows")
+    width = len(rows[0])
+    data = np.empty((len(rows), width))
+    for i, r in enumerate(rows):
+        rownum = i + (2 if has_header else 1)
+        if len(r) != width:
+            raise ValueError(f"ragged row at row {rownum}: {len(r)} cells, expected {width}")
+        try:
+            data[i] = r
+        except ValueError:
+            j = next(j for j, tok in enumerate(r) if not _oracle_numeric(tok))
+            raise ValueError(
+                f"non-numeric cell {r[j].strip()!r} at row {rownum}, column {j + 1}"
+            ) from None
+    if width < 2:
+        raise ValueError(f"need at least 2 sample columns, got {width}")
+    if ids and len(ids) != width:
+        raise ValueError(f"header has {len(ids)} names for {width} columns")
+    if not np.isfinite(data).all():
+        i, j = np.argwhere(~np.isfinite(data))[0]
+        raise ValueError(f"non-finite value at row {i + 1}, column {j + 1}")
+    return data, ids or tuple(str(j + 1) for j in range(width))
+
+
+def save_matrix_oracle(values, sample_ids, path, delimiter: str) -> None:
+    """csv.writer writes every row, header included; a float cell is its repr."""
+    values = np.asarray(values, dtype=np.float64)
+    default = tuple(str(j + 1) for j in range(values.shape[1]))
+    header = [] if tuple(sample_ids) == default else [list(sample_ids)]
+    with open(path, "w", newline="") as fh:
+        rows = chain(header, (row.tolist() for row in values))
+        for first in rows:
+            quote_all = any(
+                isinstance(c, str) and (c != c.strip() or _oracle_numeric(c)) for c in first
+            )
+            quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
+            csv.writer(fh, delimiter=delimiter, quoting=quoting).writerow(first)
+            break
+        csv.writer(fh, delimiter=delimiter).writerows(rows)

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from depthnorm import cli
@@ -130,6 +131,17 @@ class TestOutliersCommand:
         assert run("outliers", "--input", f, "--replicates", "3", "--prenorm", prenorm,
                    "--output-dir", tmp_path / "out") == 1
         assert "covariance overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["depth"], ["normalize"], ["outliers", "--g-factor", "1.2"],
+    ], ids=["depth", "normalize", "outliers"])
+    def test_distance_overflow_is_a_data_error(self, tmp_path, capsys, argv):
+        f = tmp_path / "huge.csv"
+        np.savetxt(f, np.random.default_rng(0).lognormal(size=(200, 6)) * 1e200, delimiter=",")
+        assert run(*argv, "--input", f, "--output-dir", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: column distances overflow float64")
+        assert "rescale the data" in err
 
     def test_deterministic_outputs(self, matrix_file, tmp_path):
         outs = []
@@ -474,3 +486,73 @@ class TestConfigMeansItsFlags:
         # an on/off flag has no typed form for other values; the file must reject them
         expected = None if bad_flag else _parsed(base + typed)
         assert _parsed(base + ["--config", str(cfg)]) == expected
+
+
+# the options whose value names a file or directory, each with a few
+# values that exist, do not, or have the wrong kind
+PATHS = {
+    "input": ["m.csv", "m.tsv", "absent.csv", "labels.txt", "out"],
+    "output_dir": ["out", "out/sub", "m.csv", ""],
+    "config": ["run.cfg", "absent.cfg", "m.csv"],
+    "classes": ["1,1,2,2", "labels.txt", "1,2", "labelz.txt", "1,1,1,1", "2,2,3,3"],
+}
+# runs stay small because every size the argv can name stays small
+BASE_ARGV = {
+    "normalize": ["--input", "m.csv", "--output-dir", "out"],
+    "depth": ["--input", "m.csv", "--output-dir", "out"],
+    "outliers": ["--input", "m.csv", "--output-dir", "out", "--replicates", "3"],
+    "calibrate": ["--samples", "4", "--features", "5", "--replicates", "3", "--output-dir", "out"],
+    "simulate": ["--datasets", "1", "--genes", "5", "--probes-per-gene", "3", "--affected-genes",
+                 "1", "--samples", "4", "--delta", "0", "--output-dir", "out"],
+    "report": ["--input", "m.csv"],
+}
+JUNK = st.text(alphabet="abxyz019.-+_e:=", max_size=6)
+
+
+def _argv_value(action):
+    """A value for ``action``: valid, out of range, or junk."""
+    if action.dest in PATHS:
+        return st.sampled_from(PATHS[action.dest]) | JUNK
+    if action.choices:
+        return st.sampled_from(list(action.choices)) | JUNK
+    if action.type is int:
+        return st.integers(-2, 6).map(str) | JUNK
+    if action.type is float:
+        special = st.sampled_from(["nan", "inf", "-inf", "0", "1e-300"])
+        return st.floats(-2, 6).map(repr) | special | JUNK
+    return JUNK
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exits_0_1_or_2_without_a_traceback(self, tmp_path, monkeypatch, capsys, data):
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        monkeypatch.chdir(work)
+        rows = ["s1,s2,s3,s4", "1,1,50,0.5", "3,3,60,1.5", "5,5,70,2.5", "7,7,90,3.5"]
+        Path("m.csv").write_text("\n".join(rows) + "\n")
+        Path("m.tsv").write_text("\n".join(r.replace(",", "\t") for r in rows) + "\n")
+        Path("labels.txt").write_text("1\n1\n2\n2\n")
+        Path("run.cfg").write_text("seed = 3\n")
+        sub = data.draw(st.sampled_from(sorted(BASE_ARGV)))
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = [a for a in subparsers.choices[sub]._actions if a.dest != "help"]
+        argv = [sub, *BASE_ARGV[sub]]
+        for a in data.draw(st.lists(st.sampled_from(options), max_size=4)):
+            flag = data.draw(st.sampled_from(a.option_strings))
+            if a.nargs == 0:
+                argv.append(flag)
+            elif a.nargs in ("+", 2):
+                size = 2 if a.nargs == 2 else data.draw(st.integers(1, 3))
+                argv += [flag, *data.draw(st.lists(_argv_value(a), min_size=size, max_size=size))]
+            else:
+                argv += [flag, data.draw(_argv_value(a))]
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        event(f"{sub} exits {code}")
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in capsys.readouterr().err

@@ -23,6 +23,9 @@ from depthnorm import (
     log1_transform,
     save_matrix,
 )
+from depthnorm import core
+
+from oracles import load_matrix_oracle, save_matrix_oracle
 
 
 class TestLoadMatrix:
@@ -142,6 +145,157 @@ class TestSaveMatrix:
         assert back.sample_ids == m.sample_ids
         assert back.values.shape == m.values.shape
         assert _bits(back.values) == _bits(m.values)
+
+
+def _delimiter_of(suffix: str) -> str:
+    return "," if suffix == ".csv" else "\t"
+
+
+def _assert_loads_like_oracle(f, has_header=None):
+    """load_matrix gives the oracle's ids and bits, or a DataError with its message."""
+    try:
+        values, ids = load_matrix_oracle(f, _delimiter_of(f.suffix), has_header)
+    except ValueError as e:
+        with pytest.raises(DataError) as got:
+            load_matrix(f, has_header=has_header)
+        assert str(got.value) == str(e)
+        return None
+    m = load_matrix(f, has_header=has_header)
+    assert m.sample_ids == ids
+    assert m.values.shape == values.shape and _bits(m.values) == _bits(values)
+    return m
+
+
+NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# read by float() and not by loadtxt, or the other way round ("1\x1c")
+SPELLING = st.sampled_from([" 2 ", "+.5", "1e5", "-0", "1_0", "\u0661", "\xa01", "1\x1c", "\x1f2"])
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e999"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def _cells(delimiter, noisy):
+    """Numbers, odd spellings and, in a noisy file, junk and quoted cells."""
+    if not noisy:
+        return NUMBER | NUMBER | NUMBER | SPELLING
+    junk = st.text(alphabet="0123456789+-.e_ \"\r\n\x1c\u0661" + delimiter, max_size=5)
+    plain = NUMBER | SPELLING | NON_FINITE | junk
+    return plain | plain.map(lambda c: f'"{c}"')
+
+
+@st.composite
+def matrix_files(draw):
+    """Text of a small matrix file; half are noisy, with ragged rows and odd cells."""
+    suffix = draw(st.sampled_from([".csv", ".tsv"]))
+    delimiter = _delimiter_of(suffix)
+    noisy = draw(st.booleans())
+    width = draw(st.integers(1 if noisy else 2, 4))
+    widths = st.sampled_from([width, width, width, width + 1, max(width - 1, 1)])
+    rows = []
+    if draw(st.booleans()):
+        ids = st.text(alphabet="ab12 \"\n" + delimiter, max_size=3) | NUMBER
+        header = draw(st.lists(ids, min_size=width, max_size=width))
+        rows.append(draw(st.sampled_from([
+            delimiter.join(header), delimiter.join(f'"{i}"' for i in header)
+        ])))
+    for _ in range(draw(st.integers(0 if noisy else 1, 4))):
+        w = draw(widths) if noisy else width
+        cells = draw(st.lists(_cells(delimiter, noisy), min_size=w, max_size=w))
+        rows.append(delimiter.join(cells))
+    text = ""
+    for row in rows:
+        blank = st.sampled_from(["", "", "\n", "\r\n"] + ([" \n"] if noisy else []))
+        text += draw(blank) + row + draw(LINE_ENDS)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return suffix, text
+
+
+class TestLoadMatrixParity:
+    @settings(max_examples=1000, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=matrix_files(), has_header=st.sampled_from([None, None, True, False]))
+    def test_matches_the_per_row_oracle(self, tmp_path, drawn, has_header):
+        suffix, text = drawn
+        f = tmp_path / f"m{suffix}"
+        with open(f, "w", newline="") as fh:
+            fh.write(text)
+        _assert_loads_like_oracle(f, has_header)
+
+    @pytest.mark.parametrize("text, values", [
+        ("1_0,2\n3,4\n", [[10.0, 2.0], [3.0, 4.0]]),
+        ("\u0661,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\n3\x1c,4\n", None),  # loadtxt strips \x1c as whitespace; float() refuses it
+        ('1,"2"\n3,4\n', [[1.0, 2.0], [3.0, 4.0]]),
+        ('1,"2\n",3\n', [[1.0, 2.0, 3.0]]),  # a quoted line break
+        ("1,2\n", [[1.0, 2.0]]),  # a 1 x 2 headerless file
+        ("a,b\n\n\r\n", None),  # header but no data rows
+        ("a,b,c\n1,2\n", None),
+    ])
+    def test_spellings_and_edge_files(self, tmp_path, text, values):
+        f = tmp_path / "m.csv"
+        with open(f, "w", newline="") as fh:
+            fh.write(text)
+        m = _assert_loads_like_oracle(f)
+        assert (m is None) == (values is None)
+        if values is not None:
+            assert _bits(m.values) == _bits(np.array(values))
+
+    def test_numeric_field_over_the_csv_limit_names_the_file(self, tmp_path):
+        f = tmp_path / "long.csv"
+        f.write_text("a,b\n" + "1" * 200_000 + ",2\n")
+        with pytest.raises(ParseError, match="field larger than field limit") as got:
+            load_matrix(f)
+        assert str(got.value).startswith(f"{f}:")
+        _assert_loads_like_oracle(f)
+
+    def test_a_plain_file_needs_no_per_row_parse(self, tmp_path, monkeypatch):
+        m = ExpressionMatrix(np.arange(12.0).reshape(4, 3) / 7, ("20", " b", "c"))
+        f = tmp_path / "m.csv"
+        save_matrix(m, f)
+
+        def per_row(*args):
+            raise AssertionError("fell back to the per-row parse")
+
+        monkeypatch.setattr(core, "_parse_rows", per_row)
+        back = load_matrix(f)
+        assert back.sample_ids == m.sample_ids and _bits(back.values) == _bits(m.values)
+
+
+SUFFIXES = [".csv", ".tsv", ".txt"]
+REPEATED = np.repeat(np.arange(1.0, 51.0) / 3, 4).reshape(50, 4)
+
+
+def _assert_saves_like_oracle(m, directory, suffix):
+    f, want = directory / f"m{suffix}", directory / f"want{suffix}"
+    save_matrix(m, f)
+    save_matrix_oracle(m.values, m.sample_ids, want, _delimiter_of(suffix))
+    assert f.read_bytes() == want.read_bytes()
+
+
+class TestSaveMatrixBytes:
+    @pytest.mark.parametrize("suffix", SUFFIXES)
+    @pytest.mark.parametrize("values, ids", [
+        (np.sort(REPEATED[::-1], axis=0), ("S1", "S2", "S3", "S4")),
+        (np.array([[-0.0, 0.0], [0.0, -0.0], [1.0, -1.0]]), ()),
+        (np.array([[5e-324, -5e-324], [2.2250738585072e-310, 1e-320]]), ("a", "b")),
+        (np.array([[1.5, 2.5], [1.5, 1.5]]), ()),
+        (np.array([[1.5, 2.5], [1.5, 1.5]]), ("20", "10")),
+        (np.array([[1.5, 2.5], [1.5, 1.5]]), (" a", 'b"c')),
+    ], ids=["repeated", "signed-zeros", "subnormals", "default-ids", "numeric-ids", "padded-ids"])
+    def test_same_bytes_as_csv_writer(self, tmp_path, suffix, values, ids):
+        _assert_saves_like_oracle(ExpressionMatrix(values, ids), tmp_path, suffix)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), suffix=st.sampled_from(SUFFIXES))
+    def test_drawn_matrices_match_csv_writer(self, tmp_path, data, suffix):
+        pool = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=1, max_size=4))
+        g, n = data.draw(st.integers(1, 5)), data.draw(st.integers(2, 4))
+        values = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=g * n,
+                                             max_size=g * n))).reshape(g, n)
+        ids = data.draw(st.none() | st.lists(st.text(), min_size=n, max_size=n).map(tuple))
+        _assert_saves_like_oracle(ExpressionMatrix(values, ids or ()), tmp_path, suffix)
 
 
 class TestMatrixValidation:

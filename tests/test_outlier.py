@@ -89,6 +89,8 @@ class TestCalibration:
             calibrate_g(6, 30, np.eye(6), target_rate=0.0)
         with pytest.raises(DomainError):
             calibrate_g(6, 30, np.eye(6), replicates=0)
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            calibrate_g(6, 30, np.eye(6), replicates=2, seed=-1)
 
     def test_no_features_is_a_dimension_error(self):
         with pytest.raises(DimensionError):

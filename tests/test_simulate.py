@@ -35,6 +35,15 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             SimulationConfig(negative_floor=0.0)
 
+    @pytest.mark.parametrize("field", [
+        {"delta": -2.0}, {"delta": float("nan")}, {"df": float("inf")}, {"seed": -1},
+        {"distortion_range": (0.0, float("nan"))}, {"negative_floor": float("inf")},
+    ], ids=["negative-delta", "nan-delta", "inf-df", "negative-seed", "nan-distortion",
+            "inf-floor"])
+    def test_values_the_draws_cannot_use_rejected(self, field):
+        with pytest.raises(DomainError):
+            SimulationConfig(**field)
+
 
 class TestGenerateDataset:
     def test_truth_marks_exactly_the_affected_genes(self):
