@@ -52,6 +52,27 @@ def gram_dists(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# short-axis median
+
+
+def median(a: np.ndarray, axis: int) -> np.ndarray:
+    """``np.median(a, axis=axis)`` of finite ``a``, bit for bit, from one sort.
+
+    On an axis of a dozen elements one sort beats ``np.median``'s
+    partition and mean.  The middle pair is summed from ``+0.0`` and
+    halved, as ``np.mean`` does, so two ``-0.0`` give ``+0.0`` while a
+    negative subnormal sum still halves to ``-0.0``.  NaN is not
+    propagated: the summarizers reject non-finite input at entry.
+    """
+    s = np.sort(a, axis=axis)
+    n = s.shape[axis]
+    hi = np.take(s, n // 2, axis=axis)
+    if n % 2:
+        return hi + 0.0
+    return (np.take(s, n // 2 - 1, axis=axis) + hi + 0.0) / 2
+
+
+# ---------------------------------------------------------------------------
 # median polish
 
 
@@ -80,16 +101,16 @@ def polish_blocks(resid, max_iter, tol):
         if idx.size == 0:
             break
         r = resid[idx]
-        rdelta = np.median(r, axis=2)
+        rdelta = median(r, axis=2)
         r -= rdelta[:, :, None]
         row[idx] += rdelta
-        delta = np.median(col[idx], axis=1)
+        delta = median(col[idx], axis=1)
         col[idx] -= delta[:, None]
         overall[idx] += delta
-        cdelta = np.median(r, axis=1)
+        cdelta = median(r, axis=1)
         r -= cdelta[:, None, :]
         col[idx] += cdelta
-        delta = np.median(row[idx], axis=1)
+        delta = median(row[idx], axis=1)
         row[idx] -= delta[:, None]
         overall[idx] += delta
         resid[idx] = r
@@ -115,8 +136,8 @@ def polish_summaries(values, starts, max_iter, tol):
 
 def biweight_series(series, c, eps, max_iter, tol):
     """Biweight location of many equal-length series (rows of ``series``)."""
-    t = np.median(series, axis=1)
-    mad = np.median(np.abs(series - t[:, None]), axis=1)
+    t = median(series, axis=1)
+    mad = median(np.abs(series - t[:, None]), axis=1)
     out = t.copy()
     idx = np.flatnonzero(mad != 0.0)
     s = series[idx]

@@ -54,6 +54,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def require_finite(v: np.ndarray) -> None:
+    """Raise a DomainError naming the first non-finite cell of the 2-D ``v`` (1-based)."""
+    if not np.isfinite(v).all():
+        bad = np.argwhere(~np.isfinite(v))[0]
+        raise DomainError(f"non-finite value at row {bad[0] + 1}, column {bad[1] + 1}")
+
+
 def default_sample_ids(n: int) -> tuple[str, ...]:
     """1-based column numbers used when no header names the samples."""
     return tuple(str(j + 1) for j in range(n))
@@ -81,9 +88,7 @@ class ExpressionMatrix:
             raise DimensionError(f"need at least 2 sample columns, got {n}")
         if g < 1:
             raise DimensionError("matrix has no rows")
-        if not np.isfinite(v).all():
-            bad = np.argwhere(~np.isfinite(v))[0]
-            raise DomainError(f"non-finite value at row {bad[0] + 1}, column {bad[1] + 1}")
+        require_finite(v)
         object.__setattr__(self, "values", _readonly(v))
         ids = tuple(self.sample_ids) if self.sample_ids else default_sample_ids(n)
         if len(ids) != n:

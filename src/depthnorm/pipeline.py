@@ -22,6 +22,7 @@ from .core import (
     ExpressionMatrix,
     PartitionError,
     default_sample_ids,
+    require_finite,
 )
 
 DEFAULT_POLISH_MAX_ITER = 20
@@ -42,6 +43,7 @@ class ProbeMatrix:
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         if v.ndim != 2:
             raise DimensionError("probe matrix must be 2-D")
+        require_finite(v)
         gene = np.asarray(self.probe_to_gene, dtype=np.intp)
         if gene.shape != (v.shape[0],):
             raise DimensionError("probe_to_gene must have one entry per probe row")
@@ -94,6 +96,7 @@ def median_polish(
     block = np.array(block, dtype=np.float64, order="C")  # the kernel works in place
     if block.ndim != 2 or block.size == 0:
         raise DimensionError("median polish needs a non-empty 2-D block")
+    require_finite(block)
     overall, row, col, resid = _kernels.polish_blocks(block[None], max_iter, tol)
     return MedianPolishFit(float(overall[0]), row[0], col[0], resid[0])
 
@@ -112,6 +115,7 @@ def biweight_location(
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     if x.size == 0:
         raise DomainError("biweight location of an empty sample")
+    require_finite(x[:, None])  # the sample as one column
     return float(_kernels.biweight_series(x[None], c, eps, 50, 1e-9)[0])
 
 

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    ClassPartition, DimensionError, DomainError, ExpressionMatrix, ParseError, read_rows, write_rows
+    ClassPartition, DimensionError, DomainError, ExpressionMatrix, ParseError, linear_prenormalize,
+    read_rows, write_rows,
 )
 from .normalize import normalize_pipeline
 from .pipeline import ProbeMatrix, power_false_discovery, summarize_genes, two_sample_ttest
@@ -71,6 +72,8 @@ class SimulationConfig:
             raise DomainError("negative_floor must be positive and finite")
         if self.seed < 0:
             raise DomainError(f"seed must be non-negative, got {self.seed}")
+        if not 0 < self.alpha < 1:
+            raise DomainError(f"alpha must lie strictly between 0 and 1, got {self.alpha!r}")
 
 
 def generate_dataset(cfg: SimulationConfig, dataset_seed: int) -> tuple[ProbeMatrix, np.ndarray]:
@@ -176,14 +179,15 @@ class StudyReport:
 
 def _one_dataset(cfg: SimulationConfig, dataset_seed: int, methods: Sequence[str]) -> dict:
     pm, truth = generate_dataset(cfg, dataset_seed)
-    m = ExpressionMatrix(pm.values, pm.sample_ids)
+    # both references map the same median-prenormalized matrix
+    m = linear_prenormalize(ExpressionMatrix(pm.values, pm.sample_ids), "median")
     groups = ClassPartition(
         tuple([1] * (cfg.n_samples // 2) + [2] * (cfg.n_samples // 2))
     )
     out = {}
 
     def run(reference: str, summaries: list[tuple[str, str]]):
-        res = normalize_pipeline(m, prenorm_anchor="median", reference=reference, mode="full")
+        res = normalize_pipeline(m, prenorm_anchor=None, reference=reference, mode="full")
         logged = ProbeMatrix(np.log2(res.matrix.values), pm.probe_to_gene, pm.sample_ids)
         for method_key, summarizer in summaries:
             gm = summarize_genes(logged, summarizer)

@@ -3,7 +3,8 @@
 These deliberately share no code with the package: the border oracle
 rescans the full distance matrix every round (O(n^3)), the fence oracle
 applies the classic one-dimensional rule, and the biweight oracle is a
-direct transcription of the weighting iteration.  The matrix text
+direct transcription of the weighting iteration.  The rank-map oracle
+is the tie-averaging quantile map with a stable argsort.  The matrix text
 oracles are the cell-by-cell reader and the csv.writer writer that the
 vectorized ``load_matrix`` and ``save_matrix`` must match.
 """
@@ -76,6 +77,29 @@ def biweight_oracle(x: np.ndarray, c: float = 5.0, eps: float = 1e-4) -> float:
             return t_new
         t = t_new
     return t
+
+
+def rank_map_oracle(values: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Each value replaced by the sorted ``ref`` at its within-column rank.
+
+    A stable argsort; a run of tied values takes the mean of ``ref`` over
+    the run's ranks, clipped to the run's ``ref`` range, and a run of one
+    takes its ``ref`` entry itself.
+    """
+    values = np.asarray(values, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    g = values.shape[0]
+    csum = np.concatenate(([0.0], np.cumsum(ref)))
+    out = np.empty_like(values)
+    for j in range(values.shape[1]):
+        col = values[:, j]
+        order = np.argsort(col, kind="stable")
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(col[order])) + 1))
+        ends = np.concatenate((starts[1:], [g]))
+        lengths = ends - starts
+        means = np.clip((csum[ends] - csum[starts]) / lengths, ref[starts], ref[ends - 1])
+        out[order, j] = np.repeat(np.where(lengths == 1, ref[starts], means), lengths)
+    return out
 
 
 def medpolish_oracle(block: np.ndarray, max_iter: int, tol: float):

@@ -357,6 +357,16 @@ class TestConfigAndErrors:
         assert run(*argv, "--output-dir", tmp_path) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("alpha", ["2", "nan", "0", "1"])
+    def test_alpha_outside_the_open_unit_interval_is_a_data_error(self, tmp_path, capsys, alpha):
+        argv = ["simulate", "--datasets", "2", "--genes", "20", "--affected-genes", "5",
+                "--samples", "4", "--delta", "2", "--alpha", alpha, "--output-dir", tmp_path]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha ") and f"got {float(alpha)!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "study.csv").exists()
+
     def test_missing_input_is_a_data_error(self, tmp_path):
         assert run("depth", "--input", tmp_path / "absent.csv") == 1
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from depthnorm import _kernels
 from oracles import biweight_oracle, medpolish_oracle
@@ -44,6 +47,41 @@ def test_biweight_summaries_match_oracle_block_by_block():
                     name, g, j,
                 )
 
+
+# ---------------------------------------------------------------------------
+# the short-axis median against np.median
+
+# signed zeros, ties, subnormals, and values whose sums overflow to ±inf
+MEDIAN_POOL = [-0.0, 0.0, 1.0, -1.0, 2.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e308, -1e308, 1e308, 3.0]
+
+
+@st.composite
+def median_cases(draw):
+    ndim = draw(st.integers(1, 3))
+    axis = draw(st.integers(0, ndim - 1))
+    shape = [draw(st.integers(1, 4)) for _ in range(ndim)]
+    shape[axis] = draw(st.integers(1, 16))
+    a = draw(hnp.arrays(np.float64, tuple(shape), elements=st.sampled_from(MEDIAN_POOL)))
+    return a, axis
+
+
+@settings(max_examples=500, deadline=None)
+@given(median_cases())
+def test_median_matches_np_median_bit_for_bit(case):
+    a, axis = case
+    with np.errstate(over="ignore"):
+        got = _kernels.median(a, axis)
+        want = np.median(a, axis=axis)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_median_of_signed_zeros_and_subnormals():
+    # np.mean sums from +0.0, so -0.0 halves to +0.0 but a negative subnormal to -0.0
+    for pair, want in [([-0.0, -0.0], 0.0), ([-5e-324, -0.0], -0.0), ([-0.0], 0.0)]:
+        got = _kernels.median(np.array(pair), 0)
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from depthnorm import (
     quantile_normalize_subset,
 )
 
+from oracles import rank_map_oracle
+
 
 def tie_free_matrix(rng, g, n):
     vals = rng.normal(size=(g, n))
@@ -179,6 +181,20 @@ class TestQuantileMapProperties:
         out = quantile_normalize_full(ExpressionMatrix(cols), ReferenceCurve(ref))
         for j in range(2):
             assert np.array_equal(np.sort(out.values[:, j]), ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 60), st.integers(2, 5), st.booleans())
+    def test_full_map_matches_the_stable_argsort_oracle(self, data, g, n, ranks):
+        # few levels, so most values are tied, and both signed zeros within one tie run
+        levels = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0])
+        cols = data.draw(hnp.arrays(np.float64, (g, n), elements=levels))
+        if ranks:  # the Spearman-rank reference of robust_covariance
+            ref = np.arange(1.0, g + 1.0)
+        else:
+            ref = np.sort(data.draw(hnp.arrays(np.float64, g, elements=st.floats(-1e6, 1e6))))
+        out = quantile_normalize_full(ExpressionMatrix(cols), ReferenceCurve(ref))
+        want = rank_map_oracle(cols, ref)
+        assert np.array_equal(out.values.view(np.int64), want.view(np.int64))
 
 
 class TestPipeline:

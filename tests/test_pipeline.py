@@ -70,6 +70,10 @@ class TestMedianPolish:
         with pytest.raises(DimensionError):
             median_polish(np.empty((0, 3)))
 
+    def test_rejects_non_finite_naming_the_cell(self):
+        with pytest.raises(DomainError, match="non-finite value at row 1, column 2"):
+            median_polish([[1.0, np.nan], [2.0, 3.0]])
+
 
 class TestBiweightLocation:
     def test_constant_sample(self):
@@ -97,6 +101,10 @@ class TestBiweightLocation:
         with pytest.raises(DomainError):
             biweight_location([])
 
+    def test_rejects_non_finite_naming_the_cell(self):
+        with pytest.raises(DomainError, match="non-finite value at row 2, column 1"):
+            biweight_location([1.0, np.nan, 2.0, 5.0])
+
     def test_matches_reference_iteration(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
@@ -117,6 +125,14 @@ class TestProbeMatrix:
     def test_blocks_must_be_contiguous(self):
         with pytest.raises(DimensionError):
             ProbeMatrix(np.ones((4, 2)), [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected_naming_the_cell(self, bad):
+        values = np.ones((6, 2))
+        values[4, 1] = bad
+        values[5, 0] = bad
+        with pytest.raises(DomainError, match="non-finite value at row 5, column 2"):
+            ProbeMatrix.uniform(values, 3)
 
 
 class TestSummarizeGenes:

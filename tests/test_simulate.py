@@ -6,15 +6,23 @@ from depthnorm import (
     METHOD_FDN_BW,
     METHOD_FDN_MP,
     METHOD_RMA,
+    ClassPartition,
     DimensionError,
     DomainError,
+    ExpressionMatrix,
     ParseError,
+    ProbeMatrix,
     SimulationConfig,
     StudyReport,
     generate_dataset,
+    normalize_pipeline,
+    power_false_discovery,
     run_grid,
     run_study,
+    summarize_genes,
+    two_sample_ttest,
 )
+from depthnorm.simulate import _one_dataset
 
 TINY = SimulationConfig(
     n_samples=8, n_genes=40, probes_per_gene=3, affected_genes=8,
@@ -38,8 +46,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field", [
         {"delta": -2.0}, {"delta": float("nan")}, {"df": float("inf")}, {"seed": -1},
         {"distortion_range": (0.0, float("nan"))}, {"negative_floor": float("inf")},
+        {"alpha": 2.0}, {"alpha": float("nan")}, {"alpha": 0.0}, {"alpha": 1.0},
     ], ids=["negative-delta", "nan-delta", "inf-df", "negative-seed", "nan-distortion",
-            "inf-floor"])
+            "inf-floor", "alpha-above-one", "nan-alpha", "zero-alpha", "alpha-one"])
     def test_values_the_draws_cannot_use_rejected(self, field):
         with pytest.raises(DomainError):
             SimulationConfig(**field)
@@ -90,6 +99,34 @@ class TestGenerateDataset:
         pm, _ = generate_dataset(cfg, 0)
         assert pm.values.mean() == pytest.approx(3.0, abs=0.02)
         assert pm.values.var() == pytest.approx(10.0 / 8.0, abs=0.08)
+
+
+def one_dataset_prenormalizing_per_reference(cfg, dataset_seed):
+    """Each method's (power, false discoveries), prenormalizing inside each pipeline run."""
+    pm, truth = generate_dataset(cfg, dataset_seed)
+    m = ExpressionMatrix(pm.values, pm.sample_ids)
+    groups = ClassPartition((1,) * (cfg.n_samples // 2) + (2,) * (cfg.n_samples // 2))
+    out = {}
+    for reference, methods in (
+        ("component_median", [(METHOD_RMA, "median_polish")]),
+        ("deepest", [(METHOD_FDN_MP, "median_polish"), (METHOD_FDN_BW, "biweight")]),
+    ):
+        res = normalize_pipeline(m, prenorm_anchor="median", reference=reference, mode="full")
+        logged = ProbeMatrix(np.log2(res.matrix.values), pm.probe_to_gene, pm.sample_ids)
+        for key, summarizer in methods:
+            tr = two_sample_ttest(summarize_genes(logged, summarizer), groups, truth)
+            out[key] = power_false_discovery(tr, cfg.alpha)
+    return out
+
+
+@pytest.mark.parametrize("df", [3.0, 10.0])
+def test_one_dataset_matches_prenormalizing_per_reference(df):
+    from dataclasses import replace
+
+    cfg = replace(TINY, df=df, n_genes=60, probes_per_gene=5, affected_genes=12, delta=1.0)
+    for ds in range(3):
+        got = _one_dataset(cfg, ds, ALL_METHODS)
+        assert got == one_dataset_prenormalizing_per_reference(cfg, ds), (df, ds)
 
 
 class TestRunStudy:
