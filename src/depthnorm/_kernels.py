@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import DomainError
+
 # ---------------------------------------------------------------------------
 # pairwise column distances
 
@@ -31,18 +33,26 @@ def pairwise_dists(xt: np.ndarray) -> np.ndarray:
 def gram_dists(x: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``x`` (n x G), from one Gram product.
 
-    Uses d² = ‖a‖² + ‖b‖² − 2a·b after subtracting each feature's mean
-    over the rows; on sorted curves, which share their trend, the
-    centring removes most of the cancellation.  Agrees with
+    Subtracts each feature's mean over the rows, then calls
+    ``centred_gram_dists``; on sorted curves, which share their trend,
+    the centring removes most of the cancellation.  Agrees with
     ``pairwise_dists`` to round-off, not bit for bit, so only the
-    Monte-Carlo surrogates use it.  The error in d² is of order
-    eps * (‖a‖² + ‖b‖²) after centring, so a pair much closer than the
-    rows' spread loses relative accuracy.  Values whose squares overflow
-    give inf or nan entries, without a warning, for the caller's
-    ``DistanceMatrix`` to reject.
+    Monte-Carlo surrogates use it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        c = x - x.mean(axis=0)
+        return centred_gram_dists(x - x.mean(axis=0))
+
+
+def centred_gram_dists(c: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``c`` (n x G), whose columns have mean 0.
+
+    Uses d² = ‖a‖² + ‖b‖² − 2a·b.  The error in d² is of order
+    eps * (‖a‖² + ‖b‖²), so a pair much closer than the rows' spread
+    loses relative accuracy.  Values whose squares overflow give inf or
+    nan entries, without a warning, for the caller's ``DistanceMatrix``
+    to reject.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
         gram = c @ c.T
         sq = np.diag(gram)
         d2 = sq[:, None] + sq[None, :] - 2.0 * gram
@@ -137,11 +147,16 @@ def polish_summaries(values, starts, max_iter, tol):
 def biweight_series(series, c, eps, max_iter, tol):
     """Biweight location of many equal-length series (rows of ``series``)."""
     t = median(series, axis=1)
-    mad = median(np.abs(series - t[:, None]), axis=1)
+    with np.errstate(over="ignore"):
+        mad = median(np.abs(series - t[:, None]), axis=1)
+        scale = c * mad
+    # an infinite scale would give every value weight 1: the mean, not the biweight
+    if not np.isfinite(scale).all():
+        raise DomainError("biweight scale c * MAD overflows float64; rescale the data")
     out = t.copy()
     idx = np.flatnonzero(mad != 0.0)
     s = series[idx]
-    denom = (c * mad + eps)[idx]
+    denom = (scale + eps)[idx]
     t = t[idx]
     for _ in range(max_iter):
         if idx.size == 0:

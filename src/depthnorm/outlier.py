@@ -143,14 +143,54 @@ def _normal_factor(cov: np.ndarray) -> np.ndarray:
     return factor
 
 
-def _replicate_quantile(rng, n, n_features, factor, target_rate) -> float:
-    # sample-major: one contiguous row per surrogate curve, covariance factor @ factor.T
-    x = factor @ rng.standard_normal((n, n_features))
-    x.sort(axis=1)
-    bs = extract_borders(DistanceMatrix(_kernels.gram_dists(x)))
+# Columns per mixing block: an n x 448 block of the product stays in cache.
+_MIX_BLOCK = 448
+# Block edges fall on multiples of 16 columns.  BLAS gemm kernels take the
+# result's columns in groups of up to 16; an edge inside a group would send
+# the group's columns to a narrower kernel that rounds differently.
+_MIX_ALIGN = 16
+
+
+def _mix_edges(g: int) -> list[int]:
+    """Column edges of the ceil(g / 448) mixing blocks, each at most 448 wide.
+
+    Inner edges fall on multiples of 16 and split the columns about
+    evenly, so with two or more blocks none is narrower than 208 columns
+    (a one-column block would go through gemv).
+    """
+    blocks = -(-g // _MIX_BLOCK)
+    step = _MIX_ALIGN * blocks
+    return [-(-k * g // step) * _MIX_ALIGN for k in range(blocks)] + [g]
+
+
+def _mix_rows(factor: np.ndarray, buf: np.ndarray, tmp: np.ndarray) -> None:
+    """Overwrite ``buf`` (n x G) with ``factor @ buf``, block by block of columns.
+
+    ``tmp`` holds at least n * min(G, 448) floats.  Every column before
+    the last G mod 16 gets the bits of ``factor @ buf``; those last
+    columns may differ by round-off where the whole product and the last
+    block take different BLAS kernels.  A single block (G <= 448) is the
+    whole product.
+    """
+    n = buf.shape[0]
+    edges = _mix_edges(buf.shape[1])
+    for a, b in zip(edges[:-1], edges[1:]):
+        out = tmp[: n * (b - a)].reshape(n, b - a)
+        np.matmul(factor, buf[:, a:b], out=out)
+        buf[:, a:b] = out
+
+
+def _replicate_quantile(rng, factor, target_rate, buf, tmp) -> float:
+    # sample-major: one row of buf per surrogate curve, covariance factor @ factor.T
+    rng.standard_normal(out=buf)
+    _mix_rows(factor, buf, tmp)
+    buf.sort(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # np.linalg.norm(buf, axis=1) bit for bit, without its n x G square
+        size = np.median([np.sqrt(np.add.reduce(r * r)) for r in buf])
+        buf -= buf.mean(axis=0)
+    bs = extract_borders(DistanceMatrix(_kernels.centred_gram_dists(buf)))
     iqr = robust_iqr(bs)
-    with np.errstate(over="ignore"):
-        size = np.median(np.linalg.norm(x, axis=1))
     if not np.isfinite(size):
         raise DataError("surrogate curve norms overflow float64; rescale the data")
     # a rank-deficient covariance leaves border distances of round-off size only
@@ -178,19 +218,30 @@ def calibrate_g(
     n_features) and ``factor @ factor.T == cov``; so each feature is an
     n-variate normal with covariance ``cov``.  The rows are sorted in
     place (the column-sort of real data), their distances come from one
-    Gram product (``_kernels.gram_dists``, whose round-off is far below
-    the Monte-Carlo spread of G), and ``extract_borders`` peels them as
-    it peels real data.  A replicate records the empirical (1 - target_rate)
-    quantile of the n per-column ratios (border distance / median border
-    distance); the calibrated multiplier is the median of those quantiles.
+    Gram product (``_kernels.centred_gram_dists``, whose round-off is far
+    below the Monte-Carlo spread of G), and ``extract_borders`` peels
+    them as it peels real data.  A replicate records the empirical
+    (1 - target_rate) quantile of the n per-column ratios (border
+    distance / median border distance); the calibrated multiplier is the
+    median of those quantiles.
 
     The two members of a border share one ratio, so the two largest of
     the n ratios are equal and every ``target_rate`` at or below 1/(n - 1)
     returns the largest ratio: the default 1e-4 changes nothing for
     n <= 10,000.
 
+    Memory: each of the ``min(threads, replicates)`` workers owns one
+    n x n_features buffer (8 * n * n_features bytes) and an n x 448
+    scratch block, allocated here before the pool starts and reused by
+    every replicate it runs.  A replicate draws ``z`` into its buffer,
+    mixes it by ``factor`` in place in column blocks (``_mix_rows``:
+    edges on multiples of 16, none one column wide unless
+    n_features == 1), then sorts, centres and reduces it to distances in
+    place.  The mixed buffer has the bits of ``factor @ z``, except
+    possibly for round-off in its last n_features mod 16 columns.
+
     Deterministic for a given seed; replicates run on derived,
-    order-independent seeds.
+    order-independent seeds, so the result does not depend on ``threads``.
     """
     if replicates < 1:
         raise DomainError("need at least one replicate")
@@ -200,18 +251,31 @@ def calibrate_g(
         raise DimensionError("need at least one feature per surrogate curve")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
+    if threads < 1:
+        raise DomainError(f"threads must be at least 1, got {threads}")
     cov = np.asarray(cov, dtype=np.float64)
     if cov.shape != (n, n):
         raise DimensionError(f"covariance must be {n}x{n}, got {cov.shape}")
     factor = _normal_factor(cov)
     children = np.random.SeedSequence(seed).spawn(replicates)
+    workers = min(threads, replicates)
+    # allocated in this thread: memory a worker thread frees can stay in its own arena
+    free = [
+        (np.empty((n, n_features)), np.empty(n * min(n_features, _MIX_BLOCK)))
+        for _ in range(workers)
+    ]
 
-    def one(i: int) -> float:
-        rng = np.random.default_rng(children[i])
-        return _replicate_quantile(rng, n, n_features, factor, target_rate)
+    def one(child) -> float:
+        # at most `workers` tasks run at once, so a pair is always free
+        buffers = free.pop()
+        try:
+            return _replicate_quantile(np.random.default_rng(child), factor, target_rate,
+                                       *buffers)
+        finally:
+            free.append(buffers)
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        quantiles = list(pool.map(one, range(replicates)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        quantiles = list(pool.map(one, children))
     return TukeyCalibration(
         g_factor=float(np.median(quantiles)),
         target_rate=target_rate,

@@ -223,11 +223,13 @@ def run_study(
     unknown = [m for m in methods if m not in ALL_METHODS]
     if unknown:
         raise DomainError(f"unknown methods: {unknown}; expected subset of {ALL_METHODS}")
+    if threads < 1:
+        raise DomainError(f"threads must be at least 1, got {threads}")
 
     def one(ds: int) -> dict:
         return _one_dataset(cfg, ds, methods)
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         per_ds = list(pool.map(one, range(cfg.n_datasets)))
 
     rows = []

@@ -3,7 +3,8 @@
 These deliberately share no code with the package: the border oracle
 rescans the full distance matrix every round (O(n^3)), the fence oracle
 applies the classic one-dimensional rule, and the biweight oracle is a
-direct transcription of the weighting iteration.  The rank-map oracle
+direct transcription of the weighting iteration.  The calibration
+replicate oracle allocates every step afresh.  The rank-map oracle
 is the tie-averaging quantile map with a stable argsort.  The matrix text
 oracles are the cell-by-cell reader and the csv.writer writer that the
 vectorized ``load_matrix`` and ``save_matrix`` must match.
@@ -39,6 +40,28 @@ def borders_oracle(d: np.ndarray):
     if remaining:
         out.append(((remaining[0],), 0.0))
     return out
+
+
+def replicate_quantile_oracle(rng, n: int, n_features: int, factor: np.ndarray,
+                              target_rate: float) -> float:
+    """One calibration replicate, each step in a freshly allocated array.
+
+    The surrogates are ``factor @ z`` with rows sorted; their distances
+    follow the centred Gram formula (d² = ‖a‖² + ‖b‖² − 2a·b, clipped at
+    0) and their borders come from ``borders_oracle``.  Returns the
+    (1 - target_rate) quantile of the per-column ratios.
+    """
+    x = factor @ rng.standard_normal((n, n_features))
+    x.sort(axis=1)
+    c = x - x.mean(axis=0)
+    gram = c @ c.T
+    sq = np.diag(gram)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
+    np.fill_diagonal(d2, 0.0)
+    borders = borders_oracle(np.sqrt(d2))
+    dist = np.array([d for _, d in borders])
+    ratio_of = {j: d / np.median(dist) for members, d in borders for j in members}
+    return float(np.quantile([ratio_of[j] for j in range(n)], 1.0 - target_rate))
 
 
 def hinge_iqr(x: np.ndarray) -> float:

@@ -152,6 +152,39 @@ class TestOutliersCommand:
             outs.append((out / "outliers.csv").read_bytes() + (out / "calibration.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_default_threads_write_the_bytes_of_one_thread(self, tmp_path):
+        f = tmp_path / "random.csv"
+        np.savetxt(f, np.random.default_rng(1).lognormal(size=(300, 6)), delimiter=",")
+        outs = []
+        for name, threads in (("default", []), ("one", ["--threads", "1"])):
+            out = tmp_path / name
+            assert run("outliers", "--input", f, "--classes", "1,1,1,2,2,2", "--replicates", "6",
+                       *threads, "--output-dir", out) == 0
+            outs.append([(out / a).read_bytes() for a in (
+                "calibration.json", "outliers.json", "outliers.csv", "outliers.txt")])
+        assert outs[0] == outs[1]
+
+
+class TestThreads:
+    def test_calibration_defaults_to_the_usable_cpus(self):
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count())
+        assert cli.parse_args(["outliers", "--input", "m.csv"]).threads == usable
+        assert cli.parse_args(["calibrate"]).threads == usable
+        assert cli.parse_args(["simulate"]).threads == 1
+
+    @pytest.mark.parametrize("sub", ["outliers", "calibrate", "simulate"])
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_bad_thread_count_is_a_usage_error(self, matrix_file, tmp_path, capsys, sub, value):
+        argv = [sub, "--threads", value, "--output-dir", tmp_path]
+        if sub == "outliers":
+            argv += ["--input", matrix_file]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert "argument --threads" in capsys.readouterr().err
+        assert not (tmp_path / "calibration.json").exists()
+
 
 class TestCalibrateCommand:
     def test_synthetic_identity_covariance(self, tmp_path):
@@ -428,6 +461,8 @@ class TestConfigValues:
         assert not list(tmp_path.rglob("*.svg"))
 
 
+# the integer-valued option types (a thread count must also be at least 1)
+INT_TYPES = (int, cli._thread_count)
 # config syntax (space, comma, '#', quotes, newline) is left out of the junk
 JUNK_ITEM = st.text(alphabet="abxyz019.-+_e:=/", min_size=1, max_size=6)
 JUNK_SCALAR = st.text(alphabet="abxyz019.-+_e:=/, ", max_size=8).map(str.strip)
@@ -445,8 +480,9 @@ def _value(action, text, clean):
     """A value drawn from the option's choices or type, or else any text unless ``clean``."""
     if action.choices:
         valid = st.sampled_from(list(action.choices))
-    elif action.type in (int, float):
-        valid = (st.integers(-5, 500) if action.type is int else st.floats(allow_nan=False)).map(str)
+    elif action.type in (*INT_TYPES, float):
+        valid = (st.integers(-5, 500) if action.type in INT_TYPES
+                 else st.floats(allow_nan=False)).map(str)
     else:
         return text
     return valid if clean else valid | text
@@ -525,7 +561,7 @@ def _argv_value(action):
         return st.sampled_from(PATHS[action.dest]) | JUNK
     if action.choices:
         return st.sampled_from(list(action.choices)) | JUNK
-    if action.type is int:
+    if action.type in INT_TYPES:
         return st.integers(-2, 6).map(str) | JUNK
     if action.type is float:
         special = st.sampled_from(["nan", "inf", "-inf", "0", "1e-300"])

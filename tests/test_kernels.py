@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from depthnorm import _kernels
+from depthnorm import DomainError, _kernels
+from depthnorm.outlier import _mix_rows
+from depthnorm.pipeline import biweight_location
 from oracles import biweight_oracle, medpolish_oracle
 
 LAYOUTS = {
@@ -48,6 +50,20 @@ def test_biweight_summaries_match_oracle_block_by_block():
                 )
 
 
+@pytest.mark.parametrize("x", [
+    [1e308, -1e308, 1e308, -1e308, 5.0],  # c * MAD overflows
+    [-1.7e308, -1.7e308, 1e308, 1.7e308, 1.7e308],  # some deviations overflow too
+])
+def test_biweight_scale_overflow_is_a_domain_error(x):
+    with pytest.raises(DomainError, match="rescale"):
+        biweight_location(x)
+
+
+def test_biweight_of_large_finite_scale_keeps_its_value():
+    x = np.array([3e306, -3e306, 2e306, -1e306, 5e305])
+    assert biweight_location(x) == biweight_oracle(x)
+
+
 # ---------------------------------------------------------------------------
 # the short-axis median against np.median
 
@@ -82,6 +98,26 @@ def test_median_of_signed_zeros_and_subnormals():
     for pair, want in [([-0.0, -0.0], 0.0), ([-5e-324, -0.0], -0.0), ([-0.0], 0.0)]:
         got = _kernels.median(np.array(pair), 0)
         assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# the blocked in-place mix of the calibration surrogates against factor @ z
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 64), g=st.integers(1, 3 * 448 + 2), seed=st.integers(0, 2**32 - 1))
+def test_blocked_mix_has_the_bits_of_the_whole_product(n, g, seed):
+    rng = np.random.default_rng(seed)
+    factor, z = rng.standard_normal((n, n)), rng.standard_normal((n, g))
+    want = factor @ z
+    buf, tmp = z.copy(), np.full(n * min(g, 448), np.nan)
+    _mix_rows(factor, buf, tmp)
+    # every column but the last g mod 16 (all of them for one block) is bit for bit
+    exact = g if g <= 448 else g - g % 16
+    assert np.array_equal(buf[:, :exact], want[:, :exact])
+    # the rest may round differently in another BLAS kernel: within the dot-product bound
+    bound = 2 * n * np.finfo(float).eps * (np.abs(factor) @ np.abs(z))
+    assert (np.abs(buf - want) <= bound).all()
 
 
 # ---------------------------------------------------------------------------

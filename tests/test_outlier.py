@@ -1,4 +1,6 @@
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,14 +23,16 @@ from depthnorm import (
     robust_iqr,
 )
 from depthnorm.outlier import (
+    _normal_factor,
     _psd_repair,
+    _replicate_quantile,
     format_report_table,
     load_reports,
     reports_to_json,
     save_report_csv,
 )
 
-from oracles import hinge_iqr, tukey_fence_flags_extremes
+from oracles import hinge_iqr, replicate_quantile_oracle, tukey_fence_flags_extremes
 
 TEN_POINT_SAMPLE = [1.3, 2.1, 2.8, 2.9, 3.2, 3.9, 4.1, 4.8, 4.9, 5.3]
 
@@ -75,6 +79,44 @@ class TestCalibration:
         assert a == b == c
         assert a != calibrate_g(8, 100, np.eye(8), target_rate=1e-4, replicates=12, seed=12)
 
+    def test_thread_invariant_under_frequent_switches(self):
+        # more workers than cores, switching often: two replicates sharing a buffer would differ
+        kw = dict(target_rate=0.01, replicates=40, seed=5)
+        one = calibrate_g(6, 300, np.eye(6), threads=1, **kw)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = calibrate_g(6, 300, np.eye(6), threads=8, **kw)
+        finally:
+            sys.setswitchinterval(interval)
+        assert many == one
+
+    # G <= 448 or a multiple of 16: the shapes where the blocked mix has every bit of factor @ z
+    @pytest.mark.parametrize("n, g", [(3, 1), (5, 7), (12, 448), (24, 1344), (64, 896),
+                                      (24, 20000)])
+    def test_replicate_on_a_used_buffer_matches_the_allocating_oracle(self, n, g):
+        rng = np.random.default_rng(n * g)
+        a = rng.standard_normal((n, n))
+        factor = _normal_factor(a @ a.T / n + np.eye(n))
+        buf, tmp = np.empty((n, g)), np.empty(n * min(g, 448))
+        _replicate_quantile(np.random.default_rng(1), factor, 0.05, buf, tmp)  # leaves data
+        for seed in (2, 3):
+            got = _replicate_quantile(np.random.default_rng(seed), factor, 0.05, buf, tmp)
+            want = replicate_quantile_oracle(np.random.default_rng(seed), n, g, factor, 0.05)
+            assert got.hex() == want.hex(), seed
+
+    def test_peak_memory_is_one_buffer_per_worker(self):
+        n, g = 24, 20000
+        buffer_bytes = 8 * n * g
+        calibrate_g(n, g, np.eye(n), replicates=4, seed=1, threads=2)  # warm lazy set-up
+        tracemalloc.start()
+        try:
+            calibrate_g(n, g, np.eye(n), replicates=6, seed=1, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * buffer_bytes, peak / buffer_bytes
+
     def test_json_roundtrip(self):
         cal = calibrate_g(6, 30, np.eye(6), replicates=3, seed=1)
         d = json.loads(cal.to_json())
@@ -91,6 +133,9 @@ class TestCalibration:
             calibrate_g(6, 30, np.eye(6), replicates=0)
         with pytest.raises(DomainError, match="seed must be non-negative"):
             calibrate_g(6, 30, np.eye(6), replicates=2, seed=-1)
+        for threads in (0, -2):
+            with pytest.raises(DomainError, match="threads must be at least 1"):
+                calibrate_g(6, 30, np.eye(6), replicates=2, threads=threads)
 
     def test_no_features_is_a_dimension_error(self):
         with pytest.raises(DimensionError):

@@ -153,6 +153,11 @@ class TestRunStudy:
         with pytest.raises(DomainError):
             run_study(TINY, methods=["fdn"])
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_below_one_rejected(self, threads):
+        with pytest.raises(DomainError, match="threads must be at least 1"):
+            run_study(TINY, threads=threads)
+
     def test_power_grows_with_the_shift(self):
         from dataclasses import replace
 
