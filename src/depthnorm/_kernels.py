@@ -30,19 +30,6 @@ def pairwise_dists(xt: np.ndarray) -> np.ndarray:
     return d + d.T
 
 
-def gram_dists(x: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of ``x`` (n x G), from one Gram product.
-
-    Subtracts each feature's mean over the rows, then calls
-    ``centred_gram_dists``; on sorted curves, which share their trend,
-    the centring removes most of the cancellation.  Agrees with
-    ``pairwise_dists`` to round-off, not bit for bit, so only the
-    Monte-Carlo surrogates use it.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return centred_gram_dists(x - x.mean(axis=0))
-
-
 def centred_gram_dists(c: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``c`` (n x G), whose columns have mean 0.
 

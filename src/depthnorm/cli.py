@@ -258,17 +258,12 @@ def _cmd_outliers(args) -> int:
     out = _outdir(args)
     if args.prenorm != "none":
         m = linear_prenormalize(m, args.prenorm)
-    sorted_m = column_sort(m)
+    labels = load_class_labels(args.classes, m.n_samples) if args.classes else None
     if args.g_factor is not None:
         cal = TukeyCalibration.fixed(args.g_factor)
     else:
         cal = _calibrate(args, out, m.n_samples, m.n_features, robust_covariance(m))
-    reports = detect_outliers(sorted_m, cal, scope="global", flag_both=args.both_members)
-    if args.classes:
-        labels = load_class_labels(args.classes, m.n_samples)
-        reports += detect_outliers(
-            sorted_m, cal, scope="per_class", labels=labels, flag_both=args.both_members
-        )
+    reports = detect_outliers(m, cal, labels, flag_both=args.both_members)
     tables = _tables(reports, Path(args.input).stem)
     (out / "outliers.txt").write_text(tables + "\n")
     save_report_csv(reports, out / "outliers.csv")

@@ -68,16 +68,10 @@ def default_sample_ids(n: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True, eq=False)
 class ExpressionMatrix:
-    """G x n matrix of sample columns.
-
-    ``sorted_flag`` is True only for matrices produced by
-    :func:`column_sort` (every column non-decreasing), the representation
-    used by the depth and outlier machinery.
-    """
+    """G x n matrix of sample columns."""
 
     values: np.ndarray
     sample_ids: tuple[str, ...] = ()
-    sorted_flag: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -103,9 +97,9 @@ class ExpressionMatrix:
     def n_samples(self) -> int:
         return self.values.shape[1]
 
-    def with_values(self, values: np.ndarray, sorted_flag: bool = False) -> "ExpressionMatrix":
+    def with_values(self, values: np.ndarray) -> "ExpressionMatrix":
         """New matrix with the same ids and fresh values."""
-        return ExpressionMatrix(values, self.sample_ids, sorted_flag)
+        return ExpressionMatrix(values, self.sample_ids)
 
 
 @dataclass(frozen=True)
@@ -179,12 +173,6 @@ def _nonblank(lines):
     return next((line for line in lines if line.strip("\r\n")), None)
 
 
-def _first_row_quoted(path) -> bool:
-    """Whether the first non-blank line opens with a quote (a header to read verbatim)."""
-    with _reading(path) as fh:
-        return (_nonblank(fh) or "").startswith('"')
-
-
 def _numeric(cells) -> bool:
     try:
         np.array(cells, dtype=np.float64)
@@ -238,24 +226,25 @@ def _plain_lines(lines, limit: int):
         yield line
 
 
-def _parse_fast(fh, delimiter: str, has_header: Optional[bool]):
-    """(values, sample ids) from one pass over ``fh``.
-
-    Row one is read by csv and judged a header by the rules of
-    :func:`_parse_rows`; the remaining lines go to one ``np.loadtxt``
-    call.  None, or a ValueError, means the per-row parse must decide.
-    """
-    lines = iter(fh)
+def _split_header(lines, delimiter: str, has_header: Optional[bool]):
+    """(sample ids, data lines): csv reads row one, judged a header by :func:`load_matrix`'s rules."""
     first = _nonblank(lines)
     if first is None:
-        return None
-    sample_ids: tuple[str, ...] = ()
+        return (), lines
     if has_header is not False:
         quoted = first.startswith('"')
         head = next(csv.reader(chain([first], lines), delimiter=delimiter))
         if has_header or quoted or not _numeric(head):
-            sample_ids = tuple(tok if quoted else tok.strip() for tok in head)
-    rows = _plain_lines(lines if sample_ids else chain([first], lines), csv.field_size_limit())
+            return tuple(tok if quoted else tok.strip() for tok in head), lines
+    return (), chain([first], lines)
+
+
+def _parse_fast(lines, delimiter: str, sample_ids: tuple[str, ...]) -> Optional[np.ndarray]:
+    """The data lines' values from one ``np.loadtxt`` call.
+
+    None, or a ValueError, means the per-row parse must decide.
+    """
+    rows = _plain_lines(lines, csv.field_size_limit())
     # loadtxt warns on input without data, so find the first data line here
     row = _nonblank(rows)
     if row is None:
@@ -266,20 +255,18 @@ def _parse_fast(fh, delimiter: str, has_header: Optional[bool]):
     width = data.shape[1]
     if width < 2 or (sample_ids and len(sample_ids) != width):
         return None
-    return data, sample_ids
+    return data
 
 
-def _parse_rows(path, delimiter: str, has_header: Optional[bool]):
-    """(values, sample ids) cell by cell, raising a ParseError that names the bad row."""
+def _parse_rows(path, delimiter: str, sample_ids: tuple[str, ...]) -> np.ndarray:
+    """Values cell by cell, raising a ParseError that names the bad row.
+
+    A file with ``sample_ids`` has its row one, the header, skipped.
+    """
     rows = read_rows(path, delimiter)
     if not rows:
         raise ParseError(f"{path}: empty file")
-    quoted = has_header is not False and _first_row_quoted(path)
-    if has_header is None:
-        has_header = quoted or not _numeric(rows[0])
-    sample_ids: tuple[str, ...] = ()
-    if has_header:
-        sample_ids = tuple(tok if quoted else tok.strip() for tok in rows[0])
+    if sample_ids:
         rows = rows[1:]
         if not rows:
             raise ParseError(f"{path}: header but no data rows")
@@ -287,7 +274,7 @@ def _parse_rows(path, delimiter: str, has_header: Optional[bool]):
     width = len(rows[0])
     data = np.empty((len(rows), width))
     for i, r in enumerate(rows):
-        rownum = i + (2 if has_header else 1)
+        rownum = i + (2 if sample_ids else 1)
         if len(r) != width:
             raise ParseError(f"ragged row at row {rownum}: {len(r)} cells, expected {width}")
         try:
@@ -301,7 +288,7 @@ def _parse_rows(path, delimiter: str, has_header: Optional[bool]):
         raise DimensionError(f"need at least 2 sample columns, got {width}")
     if sample_ids and len(sample_ids) != width:
         raise ParseError(f"header has {len(sample_ids)} names for {width} columns")
-    return data, sample_ids
+    return data
 
 
 def load_matrix(path, fmt: Optional[str] = None, has_header: Optional[bool] = None) -> ExpressionMatrix:
@@ -320,12 +307,16 @@ def load_matrix(path, fmt: Optional[str] = None, has_header: Optional[bool] = No
     the same values or a ParseError naming the row and column.
     """
     delimiter = _delimiter(path, fmt)
+    # a file whose row one cannot be read fails the per-row read as well
+    sample_ids: tuple[str, ...] = ()
     try:
         with _reading(path) as fh:
-            parsed = _parse_fast(fh, delimiter, has_header)
+            sample_ids, lines = _split_header(iter(fh), delimiter, has_header)
+            data = _parse_fast(lines, delimiter, sample_ids)
     except ValueError:
-        parsed = None
-    data, sample_ids = parsed or _parse_rows(path, delimiter, has_header)
+        data = None
+    if data is None:
+        data = _parse_rows(path, delimiter, sample_ids)
     return ExpressionMatrix(data, sample_ids)
 
 
@@ -385,7 +376,7 @@ def filter_zero_rows(m: ExpressionMatrix, max_zeros: int) -> ExpressionMatrix:
     keep = (m.values == 0).sum(axis=1) <= max_zeros
     if not keep.any():
         raise EmptyResultError("zero-count filter removed every row")
-    return m.with_values(m.values[keep], sorted_flag=m.sorted_flag)
+    return m.with_values(m.values[keep])
 
 
 def log1_transform(m: ExpressionMatrix) -> ExpressionMatrix:
@@ -393,12 +384,12 @@ def log1_transform(m: ExpressionMatrix) -> ExpressionMatrix:
     if (m.values < 0).any():
         i, j = np.argwhere(m.values < 0)[0]
         raise DomainError(f"negative value at row {i + 1}, column {j + 1}")
-    return m.with_values(np.log1p(m.values), sorted_flag=m.sorted_flag)
+    return m.with_values(np.log1p(m.values))
 
 
 def column_sort(m: ExpressionMatrix) -> ExpressionMatrix:
     """Sort every column ascending (the X* representation)."""
-    return m.with_values(np.sort(m.values, axis=0), sorted_flag=True)
+    return m.with_values(np.sort(m.values, axis=0))
 
 
 def component_wise_median(m: ExpressionMatrix):
@@ -442,4 +433,4 @@ def linear_prenormalize(m: ExpressionMatrix, anchor: str = "median") -> Expressi
             f"column {m.sample_ids[j]!r} has non-positive {anchor} ({stat[j]!r})"
         )
     grand = np.median(stat)
-    return m.with_values(m.values * (grand / stat), sorted_flag=m.sorted_flag)
+    return m.with_values(m.values * (grand / stat))

@@ -27,6 +27,8 @@ from .core import (
     DomainError,
     ExpressionMatrix,
     ParseError,
+    PartitionError,
+    column_sort,
     read_rows,
     read_text,
     write_rows,
@@ -62,6 +64,9 @@ class TukeyCalibration:
     per_replicate_quantiles: tuple[float, ...]
 
     def __post_init__(self):
+        # a multiplier of 0 or less flags every pair apart at all; inf flags none
+        if not 0.0 < self.g_factor < np.inf:
+            raise DomainError(f"g_factor must be finite and positive, got {self.g_factor!r}")
         if not 0.0 < self.target_rate < 1.0:
             raise DomainError("target_rate must lie in (0, 1)")
         if self.replicates < 1:
@@ -288,18 +293,15 @@ def calibrate_g(
 @dataclass(frozen=True)
 class FlaggedSample:
     sample_id: str
-    column: int
     pair_index: int
-    rule: str
 
 
 @dataclass(frozen=True)
 class OutlierReport:
     """Border pairs of one scope with the fence verdict.
 
-    ``flagged_pairs`` is the maximal prefix of ``pairs`` whose intra-pair
-    distance exceeds the benchmark (border distances are non-increasing,
-    so the exceedances form a prefix).
+    ``rule`` names how samples are taken from a flagged pair:
+    ``farther-from-deepest`` or ``both-members``.
     """
 
     scope: str
@@ -308,19 +310,24 @@ class OutlierReport:
     iqr_estimate: float
     g_factor: float
     benchmark: float
-    flagged_pairs: tuple[Border, ...]
+    rule: str
     flagged_samples: tuple[FlaggedSample, ...]
+
+    @property
+    def flagged_pairs(self) -> tuple[Border, ...]:
+        """The pairs beyond the fence, each with a flagged sample: a prefix of ``pairs``."""
+        return self.pairs[: len({f.pair_index for f in self.flagged_samples})]
 
 
 def _scope_report(
-    m: ExpressionMatrix,
+    curves: ExpressionMatrix,
     columns: np.ndarray,
     g_factor: float,
     scope: str,
     flag_both: bool,
 ) -> OutlierReport:
-    ids = m.sample_ids
-    sub = ExpressionMatrix(m.values[:, columns], sorted_flag=True)
+    ids = curves.sample_ids
+    sub = ExpressionMatrix(curves.values[:, columns])
     bs = peel_borders(sub)
     iqr = robust_iqr(bs)
     # a zero scale would flag every pair that is apart at all
@@ -330,32 +337,28 @@ def _scope_report(
 
     deep_curve = deepest_curve(sub, bs).values
 
-    flagged_pairs = []
     flagged = []
     for k, border in enumerate(bs.borders):
         if len(border.members) < 2 or not border.distance > benchmark:
             break
-        flagged_pairs.append(border)
         a, b = border.members
         if flag_both:
-            chosen, rule = (a, b), "both-members"
+            chosen = (a, b)
         else:
             da = np.linalg.norm(sub.values[:, a] - deep_curve)
             db = np.linalg.norm(sub.values[:, b] - deep_curve)
-            chosen, rule = ((b,) if db > da else (a,)), "farther-from-deepest"
-        for c in chosen:
-            flagged.append(FlaggedSample(ids[columns[c]], int(columns[c]), k, rule))
+            chosen = (b,) if db > da else (a,)
+        flagged += [FlaggedSample(ids[columns[c]], k) for c in chosen]
 
-    remap = [Border(tuple(int(columns[j]) for j in b.members), b.distance) for b in bs.borders]
-    remap_flagged = remap[: len(flagged_pairs)]
     return OutlierReport(
         scope=scope,
         sample_ids=ids,
-        pairs=tuple(remap),
+        pairs=tuple(Border(tuple(int(columns[j]) for j in b.members), b.distance)
+                    for b in bs.borders),
         iqr_estimate=iqr,
         g_factor=g_factor,
         benchmark=benchmark,
-        flagged_pairs=tuple(remap_flagged),
+        rule="both-members" if flag_both else "farther-from-deepest",
         flagged_samples=tuple(flagged),
     )
 
@@ -363,33 +366,27 @@ def _scope_report(
 def detect_outliers(
     m: ExpressionMatrix,
     cal: TukeyCalibration,
-    scope: str = "global",
     labels: Optional[ClassPartition] = None,
     flag_both: bool = False,
 ) -> list[OutlierReport]:
     """Flag border pairs whose distance exceeds g_factor * robust IQR.
 
-    Requires column-sorted input (the representation the depth is defined
-    on).  Global scope screens all columns together; per-class scope
-    repeats the border construction and IQR estimate inside each class,
-    reusing the globally calibrated multiplier.  From each flagged pair
-    the member farther from the deepest curve is reported (both members
-    with ``flag_both``).
+    ``m`` is the matrix :func:`robust_covariance` takes; the screen runs
+    on its column-sorted curves (the representation the depth is defined
+    on).  The first report screens all columns together.  With
+    ``labels``, one report per class follows, repeating the border
+    construction and IQR estimate inside the class and reusing the
+    globally calibrated multiplier.  From each flagged pair the member
+    farther from the deepest curve is reported (both members with
+    ``flag_both``).
     """
-    if not m.sorted_flag:
-        raise DomainError("detect_outliers requires column-sorted input (see column_sort)")
-    if scope == "global":
-        cols = np.arange(m.n_samples, dtype=np.intp)
-        return [_scope_report(m, cols, cal.g_factor, "global", flag_both)]
-    if scope == "per_class":
-        if labels is None:
-            raise DomainError("per-class scope requires class labels")
-        reports = []
-        for k in range(1, labels.class_count + 1):
-            cols = labels.members(k)
-            reports.append(_scope_report(m, cols, cal.g_factor, f"class {k}", flag_both))
-        return reports
-    raise DomainError(f"unknown scope {scope!r}")
+    if labels is not None and len(labels.labels) != m.n_samples:
+        raise PartitionError(f"{len(labels.labels)} class labels for {m.n_samples} columns")
+    curves = column_sort(m)
+    scopes = [("global", np.arange(m.n_samples, dtype=np.intp))]
+    if labels is not None:
+        scopes += [(f"class {k}", labels.members(k)) for k in range(1, labels.class_count + 1)]
+    return [_scope_report(curves, cols, cal.g_factor, scope, flag_both) for scope, cols in scopes]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +442,7 @@ def reports_to_json(reports: list[OutlierReport]) -> str:
             {
                 "scope": rep.scope,
                 "flagged_samples": [s.sample_id for s in rep.flagged_samples],
-                "rule": rep.flagged_samples[0].rule if rep.flagged_samples else "farther-from-deepest",
+                "rule": rep.rule,
                 "benchmark": rep.benchmark,
                 "iqr_estimate": rep.iqr_estimate,
                 "tukey_constant": rep.g_factor,
@@ -483,9 +480,6 @@ def _report_from_payload(d: dict) -> OutlierReport:
         Border(tuple(col[s] for s in p["members"]), float(p["distance"])) for p in d["pairs"]
     )
     pair_of = {j: k for k, b in enumerate(pairs) for j in b.members}
-    flagged = tuple(
-        FlaggedSample(s, col[s], pair_of[col[s]], d["rule"]) for s in d["flagged_samples"]
-    )
     return OutlierReport(
         scope=d["scope"],
         sample_ids=ids,
@@ -493,8 +487,8 @@ def _report_from_payload(d: dict) -> OutlierReport:
         iqr_estimate=float(d["iqr_estimate"]),
         g_factor=float(d["tukey_constant"]),
         benchmark=float(d["benchmark"]),
-        flagged_pairs=pairs[: len({f.pair_index for f in flagged})],
-        flagged_samples=flagged,
+        rule=d["rule"],
+        flagged_samples=tuple(FlaggedSample(s, pair_of[col[s]]) for s in d["flagged_samples"]),
     )
 
 

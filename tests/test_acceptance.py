@@ -46,7 +46,7 @@ STUDY_THREADS = 8
 
 
 def scalar_matrix(points):
-    return ExpressionMatrix(np.array([points], dtype=float), sorted_flag=True)
+    return ExpressionMatrix(np.array([points], dtype=float))
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -400,6 +400,14 @@ class TestConfigAndErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "study.csv").exists()
 
+    @pytest.mark.parametrize("g", ["nan", "inf", "-1", "0"])
+    def test_g_factor_that_is_not_a_fence_is_a_data_error(self, matrix_file, tmp_path, capsys, g):
+        out = tmp_path / "out"
+        assert run("outliers", "--input", matrix_file, "--g-factor", g, "--output-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: g_factor must be finite and positive, got {float(g)!r}\n"
+        assert not (out / "outliers.json").exists()
+
     def test_missing_input_is_a_data_error(self, tmp_path):
         assert run("depth", "--input", tmp_path / "absent.csv") == 1
 

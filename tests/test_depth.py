@@ -20,7 +20,7 @@ TEN_POINT_SAMPLE = [1.3, 2.1, 2.8, 2.9, 3.2, 3.9, 4.1, 4.8, 4.9, 5.3]
 
 
 def scalar_matrix(points):
-    return ExpressionMatrix(np.array([points], dtype=float), sorted_flag=True)
+    return ExpressionMatrix(np.array([points], dtype=float))
 
 
 class TestPairwiseDistances:
@@ -170,15 +170,13 @@ class TestDeepestCurve:
         assert ref.source_tag == "deepest"
 
     def test_identical_pair_average_is_the_column(self):
-        m = ExpressionMatrix(np.array([[2.0, 2.0], [5.0, 5.0]]), sorted_flag=True)
+        m = ExpressionMatrix(np.array([[2.0, 2.0], [5.0, 5.0]]))
         ref = deepest_curve(m)
         assert np.array_equal(ref.values, [2.0, 5.0])
         assert ref.source_tag == "deepest_pair_average"
 
     def test_four_column_example(self):
-        m = ExpressionMatrix(
-            np.array([[1.0, 1.0, 5.0, 0.0], [2.0, 2.0, 9.0, 1.0]]), sorted_flag=True
-        )
+        m = ExpressionMatrix(np.array([[1.0, 1.0, 5.0, 0.0], [2.0, 2.0, 9.0, 1.0]]))
         bs = extract_borders(pairwise_distances(m))
         assert bs.borders[0].members == (2, 3)
         assert np.array_equal(deepest_curve(m, bs).values, [1.0, 2.0])

@@ -121,11 +121,15 @@ def test_blocked_mix_has_the_bits_of_the_whole_product(n, g, seed):
 
 
 # ---------------------------------------------------------------------------
-# gram_dists against the loop kernel
+# centred_gram_dists against the loop kernel
+
+
+def gram_dists(x):
+    return _kernels.centred_gram_dists(x - x.mean(axis=0))
 
 
 def assert_close_to_loop(x):
-    got = _kernels.gram_dists(x)
+    got = gram_dists(x)
     want = _kernels.pairwise_dists(x)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     return got
@@ -152,7 +156,7 @@ def test_gram_dists_of_rows_differing_by_a_constant_offset():
 
 @pytest.mark.parametrize("shape", GRAM_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_gram_dists_are_symmetric_with_a_zero_diagonal(shape):
-    d = _kernels.gram_dists(np.random.default_rng(3).standard_normal(shape))
+    d = gram_dists(np.random.default_rng(3).standard_normal(shape))
     assert np.array_equal(d, d.T)
     assert np.array_equal(np.diag(d), np.zeros(shape[0]))
 
@@ -160,7 +164,7 @@ def test_gram_dists_are_symmetric_with_a_zero_diagonal(shape):
 def test_gram_dists_of_identical_rows_are_zero():
     x = np.random.default_rng(5).standard_normal((24, 50_000))
     x[[3, 17, 23]] = x[0]
-    d = _kernels.gram_dists(x)
+    d = gram_dists(x)
     for i, j in [(0, 3), (0, 17), (0, 23), (3, 17), (17, 23)]:
         assert d[i, j] == d[j, i] == 0.0
     assert (d[1:3, 4:17] > 0).all()
@@ -172,5 +176,5 @@ def test_gram_dists_of_rows_apart_by_round_off_are_finite():
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((6, 1000))
         x[1] = x[0] + 1e-12 * rng.standard_normal(1000)
-        d = _kernels.gram_dists(x)
+        d = gram_dists(x)
         assert 0.0 <= d[0, 1] < 1e-6, seed

@@ -14,6 +14,7 @@ from depthnorm import (
     DomainError,
     ExpressionMatrix,
     ParseError,
+    PartitionError,
     TukeyCalibration,
     calibrate_g,
     column_sort,
@@ -38,7 +39,7 @@ TEN_POINT_SAMPLE = [1.3, 2.1, 2.8, 2.9, 3.2, 3.9, 4.1, 4.8, 4.9, 5.3]
 
 
 def scalar_matrix(points):
-    return ExpressionMatrix(np.array([points], dtype=float), sorted_flag=True)
+    return ExpressionMatrix(np.array([points], dtype=float))
 
 
 def borders_of(points):
@@ -253,7 +254,7 @@ class TestDetectOutliers:
         # deepest border is (3.2, 3.9); its average 3.55 sits closer to 5.3
         (flag,) = report.flagged_samples
         assert flag.sample_id == "1"
-        assert flag.rule == "farther-from-deepest"
+        assert report.rule == "farther-from-deepest"
 
     def test_huge_factor_flags_nothing(self):
         m = scalar_matrix(TEN_POINT_SAMPLE)
@@ -265,10 +266,17 @@ class TestDetectOutliers:
         (report,) = detect_outliers(m, TukeyCalibration.fixed(1.95), flag_both=True)
         assert [f.sample_id for f in report.flagged_samples] == ["1", "10"]
 
-    def test_requires_sorted_columns(self):
-        m = ExpressionMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        with pytest.raises(DomainError):
-            detect_outliers(m, TukeyCalibration.fixed(1.5))
+    def test_unsorted_input_gives_the_reports_of_its_column_sort(self):
+        rng = np.random.default_rng(16)
+        vals = rng.normal(size=(30, 9))
+        vals[:, 4] *= 5.0
+        m = ExpressionMatrix(vals)
+        labels = ClassPartition((1, 1, 2, 2, 1, 2, 1, 2, 2))
+        for flag_both in (False, True):
+            got = detect_outliers(m, TukeyCalibration.fixed(1.5), labels, flag_both)
+            want = detect_outliers(column_sort(m), TukeyCalibration.fixed(1.5), labels, flag_both)
+            assert got == want
+            assert got[0].flagged_samples
 
     def test_flagged_pairs_form_a_prefix_and_shrink_with_g(self):
         rng = np.random.default_rng(10)
@@ -299,12 +307,13 @@ class TestDetectOutliers:
         rng = np.random.default_rng(14)
         vals = rng.normal(size=(20, 8))
         vals[:, 7] += 40.0  # forced far-out column in class 2
-        m = column_sort(ExpressionMatrix(vals))
+        m = ExpressionMatrix(vals)
         labels = ClassPartition((1, 1, 1, 1, 2, 2, 2, 2))
-        reports = detect_outliers(m, TukeyCalibration.fixed(1.2), scope="per_class", labels=labels)
-        assert [r.scope for r in reports] == ["class 1", "class 2"]
+        reports = detect_outliers(m, TukeyCalibration.fixed(1.2), labels=labels)
+        assert [r.scope for r in reports] == ["global", "class 1", "class 2"]
+        assert reports[0] == detect_outliers(m, TukeyCalibration.fixed(1.2))[0]
         assert all(r.g_factor == 1.2 for r in reports)
-        class2 = reports[1]
+        class2 = reports[2]
         assert "8" in [f.sample_id for f in class2.flagged_samples]
 
     @pytest.mark.parametrize("labels, scope", [(None, "global"), ((2,) * 5 + (1, 1), "class 2")])
@@ -313,21 +322,32 @@ class TestDetectOutliers:
         col = np.arange(1.0, 7.0)[:, None]
         vals = np.hstack([np.tile(col, (1, 4)), col + 1.0, 2.0 * col, 3.0 * col])
         m = column_sort(ExpressionMatrix(vals[:, : len(labels) if labels else 5]))
-        kw = {"scope": "per_class", "labels": ClassPartition(labels)} if labels else {}
+        kw = {"labels": ClassPartition(labels)} if labels else {}
         with pytest.raises(DegenerateScaleError, match=scope):
             detect_outliers(m, TukeyCalibration.fixed(3.0), **kw)
 
     def test_scope_of_identical_columns_flags_nothing(self):
         col = np.arange(1.0, 7.0)[:, None]
-        m = column_sort(ExpressionMatrix(np.hstack([np.tile(col, (1, 4)), col + 1.0])))
+        m = ExpressionMatrix(np.hstack([col, col, col + 1.0, 2.0 * col, 3.0 * col]))
         labels = ClassPartition((1, 1, 2, 2, 2))
-        first = detect_outliers(m, TukeyCalibration.fixed(3.0), "per_class", labels)[0]
+        first = detect_outliers(m, TukeyCalibration.fixed(3.0), labels)[1]
+        assert first.scope == "class 1"
         assert (first.benchmark, first.flagged_samples) == (0.0, ())
 
-    def test_per_class_requires_labels(self):
-        m = column_sort(ExpressionMatrix(np.random.default_rng(0).normal(size=(5, 4))))
-        with pytest.raises(DomainError):
-            detect_outliers(m, TukeyCalibration.fixed(1.0), scope="per_class")
+    @pytest.mark.parametrize("labels, n", [((1, 1, 2, 2, 2, 2), 4), ((1, 1, 2, 2), 6)])
+    def test_label_count_other_than_n_is_a_partition_error(self, labels, n):
+        m = ExpressionMatrix(np.random.default_rng(0).normal(size=(5, n)))
+        with pytest.raises(PartitionError, match=f"^{len(labels)} class labels for {n} columns$"):
+            detect_outliers(m, TukeyCalibration.fixed(1.0), ClassPartition(labels))
+
+    @pytest.mark.parametrize("flag_both, rule", [(False, "farther-from-deepest"),
+                                                 (True, "both-members")])
+    def test_rule_is_stated_when_nothing_is_flagged(self, flag_both, rule):
+        m = scalar_matrix(TEN_POINT_SAMPLE)
+        (report,) = detect_outliers(m, TukeyCalibration.fixed(1e9), flag_both=flag_both)
+        assert report.flagged_samples == ()
+        assert report.rule == rule
+        assert json.loads(reports_to_json([report]))["reports"][0]["rule"] == rule
 
 
 class TestFenceReduction:
