@@ -209,7 +209,6 @@ def _cmd_normalize(args) -> int:
         m,
         prenorm_anchor=prenorm,
         reference=args.reference.replace("-", "_"),
-        mode=args.mode,
         grid=grid,
     )
     save_matrix(res.matrix, out / "normalized.csv")

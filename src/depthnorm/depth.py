@@ -42,7 +42,7 @@ class DistanceMatrix:
 class Border:
     """One extracted border: a farthest pair, or a final odd singleton."""
 
-    members: tuple[int, ...]
+    members: tuple[int | str, ...]  # column positions; sample ids in an OutlierReport
     distance: float
 
 

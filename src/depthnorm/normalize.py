@@ -156,7 +156,6 @@ def normalize_pipeline(
     m: ExpressionMatrix,
     prenorm_anchor: Optional[str] = "median",
     reference: str = "deepest",
-    mode: str = "full",
     grid: Optional[QuantileGrid] = None,
 ) -> PipelineResult:
     """Scale columns, build the reference from the sorted columns, map.
@@ -165,8 +164,9 @@ def normalize_pipeline(
     applied before depth computation and the quantile map is applied to
     the prenormalized, unsorted columns; the output keeps the original
     row order.  ``reference`` selects the component-wise median of the
-    sorted columns or the deepest sorted column; ``mode`` is 'full'
-    (rank mapping) or 'subset' (grid interpolation, needs ``grid``).
+    sorted columns or the deepest sorted column.  With a ``grid`` the
+    columns are interpolated between its quantile knots; without one they
+    take the reference value at each rank.
     """
     work = linear_prenormalize(m, prenorm_anchor) if prenorm_anchor else m
     sorted_m = column_sort(work)
@@ -178,14 +178,10 @@ def normalize_pipeline(
         ref = deepest_curve(sorted_m, borders)
     else:
         raise DomainError(f"unknown reference {reference!r}")
-    if mode == "full":
+    if grid is None:
         mapped = quantile_normalize_full(work, ref)
-    elif mode == "subset":
-        if grid is None:
-            raise DomainError("subset mode requires a quantile grid")
-        mapped = quantile_normalize_subset(work, ref, grid)
     else:
-        raise DomainError(f"unknown mode {mode!r}")
+        mapped = quantile_normalize_subset(work, ref, grid)
     return PipelineResult(mapped, ref, borders)
 
 

@@ -55,25 +55,28 @@ def robust_iqr(bs: BorderSequence) -> float:
 
 @dataclass(frozen=True)
 class TukeyCalibration:
-    """Calibrated fence multiplier and the Monte-Carlo record behind it."""
+    """Monte-Carlo record of the fence multiplier: the replicate quantiles it is the median of."""
 
-    g_factor: float
-    target_rate: float
-    replicates: int
-    seed: int
     per_replicate_quantiles: tuple[float, ...]
+    target_rate: float = 0.0001
+    seed: int = 0
 
     def __post_init__(self):
+        if not self.per_replicate_quantiles:
+            raise DomainError("need at least one replicate")
         # a multiplier of 0 or less flags every pair apart at all; inf flags none
         if not 0.0 < self.g_factor < np.inf:
             raise DomainError(f"g_factor must be finite and positive, got {self.g_factor!r}")
         if not 0.0 < self.target_rate < 1.0:
             raise DomainError("target_rate must lie in (0, 1)")
-        if self.replicates < 1:
-            raise DomainError("need at least one replicate")
-        med = float(np.median(np.asarray(self.per_replicate_quantiles)))
-        if self.per_replicate_quantiles and med != self.g_factor:
-            raise DomainError("g_factor must be the median of the replicate quantiles")
+
+    @property
+    def g_factor(self) -> float:
+        return float(np.median(self.per_replicate_quantiles))
+
+    @property
+    def replicates(self) -> int:
+        return len(self.per_replicate_quantiles)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -90,7 +93,7 @@ class TukeyCalibration:
     @classmethod
     def fixed(cls, g_factor: float) -> "TukeyCalibration":
         """Calibration record for an externally chosen multiplier."""
-        return cls(g_factor, 0.0001, 1, 0, (g_factor,))
+        return cls((g_factor,))
 
 
 def _psd_repair(cov: np.ndarray) -> np.ndarray:
@@ -281,42 +284,37 @@ def calibrate_g(
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         quantiles = list(pool.map(one, children))
-    return TukeyCalibration(
-        g_factor=float(np.median(quantiles)),
-        target_rate=target_rate,
-        replicates=replicates,
-        seed=seed,
-        per_replicate_quantiles=tuple(quantiles),
-    )
+    return TukeyCalibration(tuple(quantiles), target_rate, seed)
 
 
-@dataclass(frozen=True)
-class FlaggedSample:
-    sample_id: str
-    pair_index: int
+# samples a flagged pair contributes under each rule
+_FLAGS_PER_PAIR = {"farther-from-deepest": 1, "both-members": 2}
 
 
 @dataclass(frozen=True)
 class OutlierReport:
-    """Border pairs of one scope with the fence verdict.
+    """Border pairs of one scope, named by sample id, with the fence verdict.
 
     ``rule`` names how samples are taken from a flagged pair:
     ``farther-from-deepest`` or ``both-members``.
     """
 
     scope: str
-    sample_ids: tuple[str, ...]
     pairs: tuple[Border, ...]
     iqr_estimate: float
     g_factor: float
-    benchmark: float
     rule: str
-    flagged_samples: tuple[FlaggedSample, ...]
+    flagged_samples: tuple[str, ...]
+
+    @property
+    def benchmark(self) -> float:
+        """The fence: pairs farther apart than this are flagged."""
+        return self.g_factor * self.iqr_estimate
 
     @property
     def flagged_pairs(self) -> tuple[Border, ...]:
-        """The pairs beyond the fence, each with a flagged sample: a prefix of ``pairs``."""
-        return self.pairs[: len({f.pair_index for f in self.flagged_samples})]
+        """The leading pairs that hold a flagged sample: a prefix of ``pairs``."""
+        return self.pairs[: len(self.flagged_samples) // _FLAGS_PER_PAIR[self.rule]]
 
 
 def _scope_report(
@@ -326,8 +324,8 @@ def _scope_report(
     scope: str,
     flag_both: bool,
 ) -> OutlierReport:
-    ids = curves.sample_ids
-    sub = ExpressionMatrix(curves.values[:, columns])
+    sub = ExpressionMatrix(curves.values[:, columns], tuple(curves.sample_ids[j] for j in columns))
+    ids = sub.sample_ids
     bs = peel_borders(sub)
     iqr = robust_iqr(bs)
     # a zero scale would flag every pair that is apart at all
@@ -338,7 +336,7 @@ def _scope_report(
     deep_curve = deepest_curve(sub, bs).values
 
     flagged = []
-    for k, border in enumerate(bs.borders):
+    for border in bs.borders:
         if len(border.members) < 2 or not border.distance > benchmark:
             break
         a, b = border.members
@@ -348,16 +346,13 @@ def _scope_report(
             da = np.linalg.norm(sub.values[:, a] - deep_curve)
             db = np.linalg.norm(sub.values[:, b] - deep_curve)
             chosen = (b,) if db > da else (a,)
-        flagged += [FlaggedSample(ids[columns[c]], k) for c in chosen]
+        flagged += [ids[c] for c in chosen]
 
     return OutlierReport(
         scope=scope,
-        sample_ids=ids,
-        pairs=tuple(Border(tuple(int(columns[j]) for j in b.members), b.distance)
-                    for b in bs.borders),
+        pairs=tuple(Border(tuple(ids[j] for j in b.members), b.distance) for b in bs.borders),
         iqr_estimate=iqr,
         g_factor=g_factor,
-        benchmark=benchmark,
         rule="both-members" if flag_both else "farther-from-deepest",
         flagged_samples=tuple(flagged),
     )
@@ -393,14 +388,17 @@ def detect_outliers(
 # rendering and serialization
 
 
-def format_report_table(report: OutlierReport, title: str = "", max_pairs: int = 8) -> str:
+# Pairs shown in a report table: the least deep, where the outliers are.
+TABLE_PAIRS = 8
+
+
+def format_report_table(report: OutlierReport, title: str = "") -> str:
     """Plain-text table in the published layout (least-deep pairs first)."""
-    shown = report.pairs[:max_pairs]
+    shown = report.pairs[:TABLE_PAIRS]
     top, bottom, dist = [], [], []
     for b in shown:
-        ids = [report.sample_ids[j] for j in b.members]
-        top.append(ids[0])
-        bottom.append(ids[1] if len(ids) > 1 else "-")
+        top.append(b.members[0])
+        bottom.append(b.members[1] if len(b.members) > 1 else "-")
         dist.append(f"{b.distance:,.1f}")
     width = max(8, *(len(s) for s in top + bottom + dist)) + 2
     label_w = len("distance intra-pair") + 2
@@ -417,21 +415,23 @@ def format_report_table(report: OutlierReport, title: str = "", max_pairs: int =
     lines.append(row("distance intra-pair", dist))
     lines.append(row("outlier's benchmark", [f"{report.benchmark:,.1f}"]))
     lines.append(row("Tukey's constant", [f"{report.g_factor:g}"]))
-    flagged = ", ".join(s.sample_id for s in report.flagged_samples) or "none"
-    lines.append(f"potential outliers: {flagged}")
+    lines.append(f"potential outliers: {', '.join(report.flagged_samples) or 'none'}")
     return "\n".join(lines)
 
 
 def save_report_csv(reports: list[OutlierReport], path) -> None:
+    """One row per pair; ``rule`` is last, so the columns before it keep their places."""
     header = ["scope", "pair_index", "member_1", "member_2", "distance_intra_pair",
-              "iqr_estimate", "benchmark", "tukey_constant", "flagged", "flagged_member"]
+              "iqr_estimate", "benchmark", "tukey_constant", "flagged", "flagged_member", "rule"]
     rows = [header]
     for rep in reports:
+        per_pair = _FLAGS_PER_PAIR[rep.rule]
+        flagged_count = len(rep.flagged_pairs)
         for k, b in enumerate(rep.pairs):
-            ids = [rep.sample_ids[j] for j in b.members] + [""]
-            flagged = ";".join(s.sample_id for s in rep.flagged_samples if s.pair_index == k)
-            rows.append([rep.scope, k + 1, ids[0], ids[1], b.distance, rep.iqr_estimate,
-                         rep.benchmark, rep.g_factor, int(k < len(rep.flagged_pairs)), flagged])
+            chosen = rep.flagged_samples[k * per_pair : (k + 1) * per_pair]
+            rows.append([rep.scope, k + 1, *(b.members + ("",))[:2], b.distance, rep.iqr_estimate,
+                         rep.benchmark, rep.g_factor, int(k < flagged_count), ";".join(chosen),
+                         rep.rule])
     write_rows(path, rows)
 
 
@@ -441,18 +441,12 @@ def reports_to_json(reports: list[OutlierReport]) -> str:
         payload.append(
             {
                 "scope": rep.scope,
-                "flagged_samples": [s.sample_id for s in rep.flagged_samples],
+                "flagged_samples": list(rep.flagged_samples),
                 "rule": rep.rule,
                 "benchmark": rep.benchmark,
                 "iqr_estimate": rep.iqr_estimate,
                 "tukey_constant": rep.g_factor,
-                "pairs": [
-                    {
-                        "members": [rep.sample_ids[j] for j in b.members],
-                        "distance": b.distance,
-                    }
-                    for b in rep.pairs
-                ],
+                "pairs": [{"members": list(b.members), "distance": b.distance} for b in rep.pairs],
             }
         )
     return json.dumps({"reports": payload}, indent=2)
@@ -460,44 +454,47 @@ def reports_to_json(reports: list[OutlierReport]) -> str:
 
 def _csv_payload(rows: list[list[str]]) -> list[dict]:
     """Regroup the rows of ``outliers.csv`` into the ``outliers.json`` layout."""
-    payload: dict[str, dict] = {}
+    scopes: dict[str, list[dict]] = {}
     for r in (dict(zip(rows[0], cells)) for cells in rows[1:]):
-        # the CSV repeats the scope's fields on every row but does not record the rule
-        rep = payload.setdefault(
-            r["scope"], dict(r, pairs=[], flagged_samples=[], rule="farther-from-deepest")
-        )
-        members = [r["member_1"]] + ([r["member_2"]] if r["member_2"] else [])
-        rep["pairs"].append({"members": members, "distance": r["distance_intra_pair"]})
-        if r["flagged_member"]:
-            rep["flagged_samples"] += r["flagged_member"].split(";")
-    return list(payload.values())
+        scopes.setdefault(r["scope"], []).append(r)
+    payload = []
+    for mine in scopes.values():
+        pairs, flagged = [], []
+        for r in mine:
+            members = [r["member_1"], r["member_2"]]
+            # only the last border of an odd scope is a singleton, at distance 0
+            if r is mine[-1] and r["member_2"] == "" and float(r["distance_intra_pair"]) == 0.0:
+                members.pop()
+            pairs.append({"members": members, "distance": r["distance_intra_pair"]})
+            if r["flagged"] == "1":
+                flagged += members if r["rule"] == "both-members" else [r["flagged_member"]]
+        payload.append(dict(mine[0], pairs=pairs, flagged_samples=flagged))
+    return payload
 
 
 def _report_from_payload(d: dict) -> OutlierReport:
-    ids = tuple(s for p in d["pairs"] for s in p["members"])
-    col = {s: j for j, s in enumerate(ids)}
-    pairs = tuple(
-        Border(tuple(col[s] for s in p["members"]), float(p["distance"])) for p in d["pairs"]
-    )
-    pair_of = {j: k for k, b in enumerate(pairs) for j in b.members}
-    return OutlierReport(
+    pairs = tuple(Border(tuple(p["members"]), float(p["distance"])) for p in d["pairs"])
+    report = OutlierReport(
         scope=d["scope"],
-        sample_ids=ids,
         pairs=pairs,
         iqr_estimate=float(d["iqr_estimate"]),
         g_factor=float(d["tukey_constant"]),
-        benchmark=float(d["benchmark"]),
         rule=d["rule"],
-        flagged_samples=tuple(FlaggedSample(s, pair_of[col[s]]) for s in d["flagged_samples"]),
+        flagged_samples=tuple(d["flagged_samples"]),
     )
+    if report.rule not in _FLAGS_PER_PAIR:
+        raise ValueError(f"unknown rule {report.rule!r}")
+    if float(d["benchmark"]) != report.benchmark:
+        raise ValueError(f"benchmark {d['benchmark']!r} is not tukey_constant x iqr_estimate")
+    if not set(report.flagged_samples) <= {s for b in pairs for s in b.members}:
+        raise ValueError("a flagged sample is in no pair")
+    return report
 
 
 def load_reports(path) -> list[OutlierReport]:
     """Read ``outliers.json`` or ``outliers.csv`` back into reports.
 
-    The files name each scope's samples but not their column positions,
-    so a loaded report's ``sample_ids`` lists the scope's samples in pair
-    order and its column indices refer to that tuple.
+    A loaded report equals the report that was written.
     """
     path = Path(path)
     is_json = path.suffix.lower() == ".json"

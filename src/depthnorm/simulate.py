@@ -187,7 +187,7 @@ def _one_dataset(cfg: SimulationConfig, dataset_seed: int, methods: Sequence[str
     out = {}
 
     def run(reference: str, summaries: list[tuple[str, str]]):
-        res = normalize_pipeline(m, prenorm_anchor=None, reference=reference, mode="full")
+        res = normalize_pipeline(m, prenorm_anchor=None, reference=reference)
         logged = ProbeMatrix(np.log2(res.matrix.values), pm.probe_to_gene, pm.sample_ids)
         for method_key, summarizer in summaries:
             gm = summarize_genes(logged, summarizer)

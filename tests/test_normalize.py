@@ -11,6 +11,7 @@ from depthnorm import (
     QuantileGrid,
     ReferenceCurve,
     column_sort,
+    linear_prenormalize,
     normalize_pipeline,
     quantile_normalize_full,
     quantile_normalize_subset,
@@ -225,8 +226,6 @@ class TestPipeline:
         assert np.allclose(res.matrix.values[:, 0], [5.5, 11.0, 16.5])
 
     def test_deepest_singleton_reference_is_a_sample_column(self):
-        from depthnorm import linear_prenormalize
-
         rng = np.random.default_rng(77)
         m = ExpressionMatrix(rng.uniform(1, 5, size=(15, 5)))  # odd n: singleton border
         res = normalize_pipeline(m, reference="deepest")
@@ -237,10 +236,14 @@ class TestPipeline:
         ]
         assert any(member)
 
-    def test_subset_mode_requires_grid(self):
-        m = ExpressionMatrix(np.ones((3, 2)))
-        with pytest.raises(DomainError):
-            normalize_pipeline(m, mode="subset")
+    def test_a_grid_selects_the_subset_map(self):
+        rng = np.random.default_rng(23)
+        m = ExpressionMatrix(rng.uniform(1, 9, size=(40, 5)))
+        grid = QuantileGrid.uniform(7)
+        res = normalize_pipeline(m, grid=grid)
+        want = quantile_normalize_subset(linear_prenormalize(m, "median"), res.reference, grid)
+        assert np.array_equal(res.matrix.values, want.values)
+        assert not np.array_equal(res.matrix.values, normalize_pipeline(m).matrix.values)
 
     def test_row_order_preserved(self):
         rng = np.random.default_rng(21)

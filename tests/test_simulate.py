@@ -111,7 +111,7 @@ def one_dataset_prenormalizing_per_reference(cfg, dataset_seed):
         ("component_median", [(METHOD_RMA, "median_polish")]),
         ("deepest", [(METHOD_FDN_MP, "median_polish"), (METHOD_FDN_BW, "biweight")]),
     ):
-        res = normalize_pipeline(m, prenorm_anchor="median", reference=reference, mode="full")
+        res = normalize_pipeline(m, prenorm_anchor="median", reference=reference)
         logged = ProbeMatrix(np.log2(res.matrix.values), pm.probe_to_gene, pm.sample_ids)
         for key, summarizer in methods:
             tr = two_sample_ttest(summarize_genes(logged, summarizer), groups, truth)
