@@ -283,7 +283,6 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    out = _outdir(args)
     cfg = SimulationConfig(
         n_samples=args.samples,
         n_genes=args.genes,
@@ -295,6 +294,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         alpha=args.alpha,
     )
+    out = _outdir(args)
     report = run_grid(cfg, args.df, args.delta, args.methods, threads=args.threads)
     report.to_csv(out / "study.csv")
     table = report.format_table()

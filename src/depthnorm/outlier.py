@@ -420,9 +420,10 @@ def format_report_table(report: OutlierReport, title: str = "") -> str:
 
 
 def save_report_csv(reports: list[OutlierReport], path) -> None:
-    """One row per pair; ``rule`` is last, so the columns before it keep their places."""
+    """One row per pair; later columns are appended, so earlier ones keep their places."""
     header = ["scope", "pair_index", "member_1", "member_2", "distance_intra_pair",
-              "iqr_estimate", "benchmark", "tukey_constant", "flagged", "flagged_member", "rule"]
+              "iqr_estimate", "benchmark", "tukey_constant", "flagged", "flagged_member", "rule",
+              "member_count"]
     rows = [header]
     for rep in reports:
         per_pair = _FLAGS_PER_PAIR[rep.rule]
@@ -431,7 +432,7 @@ def save_report_csv(reports: list[OutlierReport], path) -> None:
             chosen = rep.flagged_samples[k * per_pair : (k + 1) * per_pair]
             rows.append([rep.scope, k + 1, *(b.members + ("",))[:2], b.distance, rep.iqr_estimate,
                          rep.benchmark, rep.g_factor, int(k < flagged_count), ";".join(chosen),
-                         rep.rule])
+                         rep.rule, len(b.members)])
     write_rows(path, rows)
 
 
@@ -461,10 +462,10 @@ def _csv_payload(rows: list[list[str]]) -> list[dict]:
     for mine in scopes.values():
         pairs, flagged = [], []
         for r in mine:
-            members = [r["member_1"], r["member_2"]]
-            # only the last border of an odd scope is a singleton, at distance 0
-            if r is mine[-1] and r["member_2"] == "" and float(r["distance_intra_pair"]) == 0.0:
-                members.pop()
+            count = r["member_count"]
+            if count not in ("1", "2"):
+                raise ValueError(f"member_count {count!r} is not 1 or 2")
+            members = [r["member_1"], r["member_2"]][: int(count)]
             pairs.append({"members": members, "distance": r["distance_intra_pair"]})
             if r["flagged"] == "1":
                 flagged += members if r["rule"] == "both-members" else [r["flagged_member"]]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import stdtr
 
 from . import _kernels
 from .core import (
@@ -173,6 +172,8 @@ def two_sample_ttest(
     Degenerate rows follow the limit convention: zero variance in both
     groups gives p = 1 for equal means and p = 0 for unequal means.
     """
+    from scipy.special import stdtr  # the package's only scipy use; kept off startup
+
     if groups.class_count != 2:
         raise PartitionError(f"need exactly 2 classes, got {groups.class_count}")
     if len(groups.labels) != gm.n_samples:

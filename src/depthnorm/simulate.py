@@ -53,16 +53,22 @@ class SimulationConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.n_samples < 2 or self.n_samples % 2:
-            raise DimensionError("n_samples must be even and >= 2 (two equal groups)")
+        if self.n_samples < 4 or self.n_samples % 2:
+            raise DimensionError(
+                f"n_samples must be even and >= 4, got {self.n_samples} "
+                "(the Welch test needs two equal groups of at least two)"
+            )
         if min(self.n_genes, self.probes_per_gene, self.n_datasets) < 1:
             raise DimensionError("counts must be >= 1")
         if not 0 < self.df < np.inf:
             raise DomainError(f"df must be positive and finite, got {self.df!r}")
         if not 0 <= self.delta < np.inf:
             raise DomainError(f"delta must be finite and non-negative, got {self.delta!r}")
-        if not 0 <= self.affected_genes <= self.n_genes:
-            raise DomainError("affected_genes must lie in [0, n_genes]")
+        if not 1 <= self.affected_genes <= self.n_genes:
+            raise DomainError(
+                f"affected_genes must lie in [1, n_genes], got {self.affected_genes} "
+                "(power needs a true gene)"
+            )
         lo, hi = self.distortion_range
         if not np.isfinite([lo, hi]).all():
             raise DomainError(f"distortion range must be finite, got {lo!r} {hi!r}")

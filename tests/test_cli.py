@@ -206,12 +206,15 @@ class TestCalibrateCommand:
         assert exc.value.code == 2
 
 
-def test_startup_does_not_import_scipy_stats():
+def test_startup_imports_no_scipy():
+    # scipy is loaded on the first Welch test, which only `simulate` runs
     root = Path(__file__).resolve().parents[1]
-    probe = "import sys, depthnorm.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], cwd=root, env={**os.environ,
-                         "PYTHONPATH": "src"}, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    for module in ("depthnorm", "depthnorm.cli"):
+        probe = (f"import sys, {module}; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", probe], cwd=root, env={**os.environ,
+                             "PYTHONPATH": "src"}, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]", module
 
 
 class TestSimulateCommand:
@@ -399,6 +402,18 @@ class TestConfigAndErrors:
         assert err.startswith("error: alpha ") and f"got {float(alpha)!r}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "study.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", "2", "error: n_samples must be even and >= 4"),
+        ("--affected-genes", "0", "error: affected_genes must lie in [1, n_genes]"),
+    ])
+    def test_simulation_that_cannot_run_fails_before_any_work(self, tmp_path, capsys, flag,
+                                                                value, message):
+        argv = ["simulate", "--datasets", "2", "--genes", "20", "--affected-genes", "5",
+                "--samples", "4", "--delta", "2", flag, value, "--output-dir", tmp_path / "out"]
+        assert run(*argv) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("g", ["nan", "inf", "-1", "0"])
     def test_g_factor_that_is_not_a_fence_is_a_data_error(self, matrix_file, tmp_path, capsys, g):

@@ -476,21 +476,39 @@ class TestReportFiles:
         assert reports[0].pairs[-1].members == ("",)
         assert _saved_and_loaded(reports, tmp_path) == (reports, reports)
 
-    def test_identical_deepest_pair_named_empty_reads_back_as_a_singleton(self, tmp_path):
-        # the one ambiguity left in the CSV: a last pair at distance 0 whose second id is ""
+    def test_identical_deepest_pair_named_empty_reads_back_as_a_pair(self, tmp_path):
+        # a last pair at distance 0 whose second id is "" looks like a singleton but for its count
         values = SPREAD[:, [0, 2, 2, 1]]
         reports = _report_with_ids(("a", "b", "", "d"), values)
         assert reports[0].pairs[-1] == Border(("b", ""), 0.0)
-        from_json, from_csv = _saved_and_loaded(reports, tmp_path)
-        assert from_json == reports
-        assert from_csv[0].pairs[-1] == Border(("b",), 0.0)
+        assert _saved_and_loaded(reports, tmp_path) == (reports, reports)
+
+    @staticmethod
+    def _csv_without(column, tmp_path):
+        save_report_csv(_report_with_ids(("a", "b", "c", "d"), SPREAD), tmp_path / "r.csv")
+        rows = [ln.split(",") for ln in (tmp_path / "r.csv").read_text().splitlines()]
+        drop = rows[0].index(column)
+        (tmp_path / "old.csv").write_text("".join(",".join(r[:drop] + r[drop + 1:]) + "\n"
+                                                  for r in rows))
+        return tmp_path / "old.csv"
 
     def test_csv_without_a_rule_column_is_a_parse_error(self, tmp_path):
+        # tmp_path holds the test's name, so match the error, not the bare word
+        with pytest.raises(ParseError, match=r"KeyError\('rule'\)"):
+            load_reports(self._csv_without("rule", tmp_path))
+
+    def test_csv_without_a_member_count_column_is_a_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match=r"KeyError\('member_count'\)"):
+            load_reports(self._csv_without("member_count", tmp_path))
+
+    @pytest.mark.parametrize("count", ["0", "3", "", "x"])
+    def test_csv_member_count_other_than_one_or_two_is_a_parse_error(self, tmp_path, count):
         save_report_csv(_report_with_ids(("a", "b", "c", "d"), SPREAD), tmp_path / "r.csv")
-        lines = (tmp_path / "r.csv").read_text().splitlines()
-        (tmp_path / "old.csv").write_text("".join(ln.rsplit(",", 1)[0] + "\n" for ln in lines))
-        with pytest.raises(ParseError, match="rule"):
-            load_reports(tmp_path / "old.csv")
+        lines = (tmp_path / "r.csv").read_text().splitlines(keepends=True)
+        lines[1] = lines[1].rsplit(",", 1)[0] + f",{count}\n"
+        (tmp_path / "r.csv").write_text("".join(lines))
+        with pytest.raises(ParseError, match=f"member_count '{count}' is not 1 or 2"):
+            load_reports(tmp_path / "r.csv")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda r: r.update(benchmark=r["benchmark"] * 2), "benchmark"),

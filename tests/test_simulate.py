@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +44,11 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             SimulationConfig(n_genes=10, affected_genes=11)
 
+    def test_two_samples_rejected(self):
+        # one sample per group leaves the Welch test no variance
+        with pytest.raises(DimensionError, match="n_samples must be even and >= 4, got 2"):
+            SimulationConfig(n_samples=2)
+
     def test_floor_positive(self):
         with pytest.raises(DomainError):
             SimulationConfig(negative_floor=0.0)
@@ -47,8 +57,10 @@ class TestConfigValidation:
         {"delta": -2.0}, {"delta": float("nan")}, {"df": float("inf")}, {"seed": -1},
         {"distortion_range": (0.0, float("nan"))}, {"negative_floor": float("inf")},
         {"alpha": 2.0}, {"alpha": float("nan")}, {"alpha": 0.0}, {"alpha": 1.0},
+        {"affected_genes": 0},
     ], ids=["negative-delta", "nan-delta", "inf-df", "negative-seed", "nan-distortion",
-            "inf-floor", "alpha-above-one", "nan-alpha", "zero-alpha", "alpha-one"])
+            "inf-floor", "alpha-above-one", "nan-alpha", "zero-alpha", "alpha-one",
+            "no-affected-genes"])
     def test_values_the_draws_cannot_use_rejected(self, field):
         with pytest.raises(DomainError):
             SimulationConfig(**field)
@@ -83,7 +95,7 @@ class TestGenerateDataset:
     def test_zero_distortion_keeps_samples_on_one_scale(self):
         from dataclasses import replace
 
-        cfg = replace(TINY, distortion_range=(0.0, 0.0), delta=0.0, n_genes=400, affected_genes=0)
+        cfg = replace(TINY, distortion_range=(0.0, 0.0), delta=0.0, n_genes=400)
         pm, _ = generate_dataset(cfg, 0)
         medians = np.median(pm.values, axis=0)
         assert medians.max() / medians.min() < 1.2
@@ -93,7 +105,7 @@ class TestGenerateDataset:
 
         cfg = replace(
             TINY, n_genes=1000, probes_per_gene=11, n_samples=12,
-            df=10.0, delta=0.0, affected_genes=0,
+            df=10.0, delta=0.0,
             base_power=1.0, distortion_range=(0.0, 0.0),
         )
         pm, _ = generate_dataset(cfg, 0)
@@ -146,6 +158,23 @@ class TestRunStudy:
         seq = run_study(TINY)
         par = run_study(TINY, threads=4)
         assert seq == par
+
+    def test_first_welch_tests_on_many_threads_match_sequential(self):
+        # scipy.special is imported inside two_sample_ttest, so in a fresh interpreter
+        # the four workers' first tests race on that import
+        from dataclasses import replace
+
+        cfg = replace(TINY, n_datasets=8)
+        probe = (
+            "import sys\n"
+            "from depthnorm import SimulationConfig, run_study\n"
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            f"print(run_study({cfg!r}, threads=4).to_csv(), end='')\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", probe], cwd=root, env={**os.environ,
+                             "PYTHONPATH": "src"}, capture_output=True, check=True)
+        assert out.stdout.decode() == run_study(cfg, threads=1).to_csv()
 
     def test_empty_or_unknown_methods_rejected(self):
         with pytest.raises(DomainError):
