@@ -144,15 +144,15 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--prenorm", choices=("median", "q75", "mean", "sum", "none"),
                         default="median")
     run.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    run.add_argument("--threads", type=_thread_count, default=_usable_cpus(),
+                     help="worker threads (default: the usable CPUs); the artifacts do not "
+                          "depend on it")
     cal.add_argument("--target-rate", type=float, default=0.0001,
                      help="each replicate keeps the (1 - rate) quantile of its n per-column "
                           "ratios; the outermost pair's two members share the largest ratio, so "
                           "every rate at or below 1/(n - 1) gives the same G (the default "
                           "changes nothing for n <= 10,000)")
     cal.add_argument("--replicates", type=int, default=100)
-    cal.add_argument("--threads", type=_thread_count, default=_usable_cpus(),
-                     help="calibration worker threads, each holding one samples x features "
-                          "buffer (default: the usable CPUs); the result does not depend on it")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("normalize", parents=[matrix, fmt, out],
@@ -190,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor", type=float, default=0.001)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--methods", nargs="+", choices=ALL_METHODS, default=list(ALL_METHODS))
-    p.add_argument("--threads", type=_thread_count, default=1,
-                   help="datasets simulated at once; each worker holds its own dataset")
 
     p = sub.add_parser("report", help="render a saved report as a text table")
     p.add_argument("--input", required=True, help="outlier JSON/CSV or study CSV")

@@ -42,6 +42,10 @@ class ProbeMatrix:
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         if v.ndim != 2:
             raise DimensionError("probe matrix must be 2-D")
+        if 0 in v.shape:
+            raise DimensionError(
+                f"probe matrix needs a probe row and a sample column, got shape {v.shape}"
+            )
         require_finite(v)
         gene = np.asarray(self.probe_to_gene, dtype=np.intp)
         if gene.shape != (v.shape[0],):
@@ -56,6 +60,8 @@ class ProbeMatrix:
     @classmethod
     def uniform(cls, values, probes_per_gene: int, sample_ids=()) -> "ProbeMatrix":
         values = np.asarray(values)
+        if probes_per_gene < 1:
+            raise DimensionError(f"probes_per_gene must be >= 1, got {probes_per_gene}")
         if values.shape[0] % probes_per_gene:
             raise DimensionError(
                 f"{values.shape[0]} probes do not split into blocks of {probes_per_gene}"

@@ -183,18 +183,27 @@ class StudyReport:
         return "\n".join(out)
 
 
-def _one_dataset(cfg: SimulationConfig, dataset_seed: int, methods: Sequence[str]) -> dict:
+def _prenormalized(cfg: SimulationConfig, dataset_seed: int):
+    """One dataset's median-prenormalized matrix, its probe-to-gene map and its truth."""
     pm, truth = generate_dataset(cfg, dataset_seed)
-    # both references map the same median-prenormalized matrix
     m = linear_prenormalize(ExpressionMatrix(pm.values, pm.sample_ids), "median")
+    return m, pm.probe_to_gene, truth
+
+
+def _one_dataset(cfg: SimulationConfig, dataset_seed: int, methods: Sequence[str]) -> dict:
+    # both references map the same prenormalized matrix; the raw draws are gone by now
+    m, probe_to_gene, truth = _prenormalized(cfg, dataset_seed)
     groups = ClassPartition(
         tuple([1] * (cfg.n_samples // 2) + [2] * (cfg.n_samples // 2))
     )
     out = {}
 
     def run(reference: str, summaries: list[tuple[str, str]]):
-        res = normalize_pipeline(m, prenorm_anchor=None, reference=reference)
-        logged = ProbeMatrix(np.log2(res.matrix.values), pm.probe_to_gene, pm.sample_ids)
+        # one expression, so the normalized matrix is freed once its log2 copy exists
+        logged = ProbeMatrix(
+            np.log2(normalize_pipeline(m, prenorm_anchor=None, reference=reference).matrix.values),
+            probe_to_gene, m.sample_ids,
+        )
         for method_key, summarizer in summaries:
             gm = summarize_genes(logged, summarizer)
             tr = two_sample_ttest(gm, groups, truth)

@@ -171,7 +171,16 @@ class TestThreads:
                   else os.cpu_count())
         assert cli.parse_args(["outliers", "--input", "m.csv"]).threads == usable
         assert cli.parse_args(["calibrate"]).threads == usable
-        assert cli.parse_args(["simulate"]).threads == 1
+        assert cli.parse_args(["simulate"]).threads == usable
+
+    def test_one_declaration_serves_every_threaded_subcommand(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        helps = {name: [a.help for a in sub.choices[name]._actions if "--threads" in
+                        a.option_strings] for name in ("outliers", "calibrate", "simulate")}
+        assert list(helps.values()) == [[
+            "worker threads (default: the usable CPUs); the artifacts do not depend on it"
+        ]] * 3
 
     @pytest.mark.parametrize("sub", ["outliers", "calibrate", "simulate"])
     @pytest.mark.parametrize("value", ["0", "-3", "two"])
@@ -229,6 +238,16 @@ class TestSimulateCommand:
         assert lines[0] == "df,delta,method,power,false_discoveries,n_datasets"
         assert len(lines) == 4  # one row per method for the single (df, delta) cell
         assert run("report", "--input", out / "study.csv") == 0
+
+    def test_default_threads_write_the_bytes_of_one_thread(self, tmp_path):
+        outs = []
+        for name, threads in (("default", []), ("one", ["--threads", "1"])):
+            out = tmp_path / name
+            assert run("simulate", "--df", "5", "--delta", "0", "1", "--datasets", "5",
+                       "--genes", "30", "--probes-per-gene", "3", "--affected-genes", "6",
+                       "--samples", "6", "--seed", "4", *threads, "--output-dir", out) == 0
+            outs.append([(out / a).read_bytes() for a in ("study.csv", "study.txt")])
+        assert outs[0] == outs[1]
 
     def test_deterministic_study(self, tmp_path):
         csvs = []

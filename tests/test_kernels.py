@@ -50,6 +50,39 @@ def test_biweight_summaries_match_oracle_block_by_block():
                 )
 
 
+def ragged_layout(rng, genes):
+    """Block starts of ``genes`` blocks of 1 to 5 probes in random order."""
+    return np.concatenate(([0], np.cumsum(rng.integers(1, 6, size=genes)))).astype(np.int64)
+
+
+def summaries_in_chunks(monkeypatch, chunk_values, values, starts):
+    monkeypatch.setattr(_kernels, "_CHUNK_VALUES", chunk_values)
+    return (_kernels.polish_summaries(values, starts, 20, 0.01),
+            _kernels.biweight_summaries(values, starts, 5.0, 1e-4, 50, 1e-9))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_summaries_keep_their_bits_at_every_chunk_size(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    starts = ragged_layout(rng, 60)  # about 12 blocks of each size
+    values = rng.standard_t(3, size=(starts[-1], 6))
+    values[::3] = np.round(values[::3], 1)  # ties, zero MADs, early convergence
+    whole = summaries_in_chunks(monkeypatch, 10**9, values, starts)  # one batch per size
+    for chunk_values in (1, 50, 32_768):  # one block per batch, a few, the default
+        got = summaries_in_chunks(monkeypatch, chunk_values, values, starts)
+        for kernel, a, b in zip(("polish", "biweight"), got, whole):
+            assert a.tobytes() == b.tobytes(), (kernel, chunk_values)
+    # and each block alone, through the batch-of-one paths
+    polish, biweight = whole
+    for g, block in enumerate(blocks_of(values, starts)):
+        overall, _, col, _ = _kernels.polish_blocks(block.copy()[None], 20, 0.01)
+        assert (overall[:, None] + col)[0].tobytes() == polish[g].tobytes(), g
+        for j in range(values.shape[1]):
+            series = np.ascontiguousarray(block[:, j])[None]
+            alone = _kernels.biweight_series(series, 5.0, 1e-4, 50, 1e-9)
+            assert alone.tobytes() == biweight[g, j:j + 1].tobytes(), (g, j)
+
+
 @pytest.mark.parametrize("x", [
     [1e308, -1e308, 1e308, -1e308, 5.0],  # c * MAD overflows
     [-1.7e308, -1.7e308, 1e308, 1.7e308, 1.7e308],  # some deviations overflow too

@@ -126,6 +126,22 @@ class TestProbeMatrix:
         with pytest.raises(DimensionError):
             ProbeMatrix(np.ones((4, 2)), [0, 1, 0, 1])
 
+    def test_no_probe_rows_rejected(self):
+        with pytest.raises(DimensionError, match=r"got shape \(0, 2\)"):
+            ProbeMatrix(np.ones((0, 2)), np.zeros(0, dtype=int))
+        with pytest.raises(DimensionError, match=r"got shape \(0, 2\)"):
+            ProbeMatrix.uniform(np.ones((0, 2)), 3)
+
+    def test_no_sample_columns_rejected(self):
+        with pytest.raises(DimensionError, match=r"got shape \(6, 0\)"):
+            ProbeMatrix.uniform(np.ones((6, 0)), 3)
+
+    @pytest.mark.parametrize("probes_per_gene", [0, -1, -3])
+    def test_probes_per_gene_below_one_rejected(self, probes_per_gene):
+        with pytest.raises(DimensionError, match=f"probes_per_gene must be >= 1, got "
+                                                 f"{probes_per_gene}"):
+            ProbeMatrix.uniform(np.ones((6, 2)), probes_per_gene)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_rejected_naming_the_cell(self, bad):
         values = np.ones((6, 2))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,20 @@ def test_one_dataset_matches_prenormalizing_per_reference(df):
     for ds in range(3):
         got = _one_dataset(cfg, ds, ALL_METHODS)
         assert got == one_dataset_prenormalizing_per_reference(cfg, ds), (df, ds)
+
+
+def test_one_dataset_peak_memory_at_the_default_sizes():
+    # the 1,000 x 11 x 12 dataset is 1.06 MB a matrix: the prenormalized and logged
+    # matrices, the pipeline's working copies and bounded summarizer batches fit in 6 MB
+    cfg = SimulationConfig()
+    _one_dataset(cfg, 0, ALL_METHODS)  # warm lazy set-up (the scipy import)
+    tracemalloc.start()
+    try:
+        _one_dataset(cfg, 1, ALL_METHODS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak / 2**20
 
 
 class TestRunStudy:
