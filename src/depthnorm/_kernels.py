@@ -17,18 +17,41 @@ from .core import DomainError
 # pairwise column distances
 
 
+# rows of differences per einsum call in pairwise_dists: a few rows of G values
+_DIST_ROWS = 4
+
+
+def _row_blocks(start: int, stop: int):
+    """(a, b) edges of blocks of ``_DIST_ROWS`` rows covering [start, stop).
+
+    A one-row remainder joins the block before it, so a block has one row
+    only when the whole range has.  ``einsum`` sums a one-row operand in
+    another order than the same row inside a larger block, so this keeps
+    every distance's bits those of one call on the whole range.
+    """
+    edges = list(range(start, stop, _DIST_ROWS)) + [stop]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return zip(edges[:-1], edges[1:])
+
+
 def pairwise_dists(xt: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``xt`` (n x G), as n x n.
 
-    Values whose differences or squares overflow give inf entries,
-    without a warning, for the caller to reject.
+    Row i's differences to the rows after it are taken a block of a few
+    rows at a time in one reused buffer, so the temporaries hold at most
+    ``_DIST_ROWS + 1`` rows whatever n is.  Values whose differences or
+    squares overflow give inf entries, without a warning, for the caller
+    to reject.
     """
     n = xt.shape[0]
     d = np.zeros((n, n))
+    buf = np.empty((min(n, _DIST_ROWS + 1), xt.shape[1]))
     with np.errstate(over="ignore"):
         for i in range(n - 1):
-            diff = xt[i + 1:] - xt[i]
-            d[i, i + 1:] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            for a, b in _row_blocks(i + 1, n):
+                diff = np.subtract(xt[a:b], xt[i], out=buf[: b - a])
+                d[i, a:b] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return d + d.T
 
 

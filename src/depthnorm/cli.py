@@ -209,12 +209,15 @@ def _cmd_normalize(args) -> int:
         reference=args.reference.replace("-", "_"),
         grid=grid,
     )
+    if args.boxplot_svg:
+        (out / "boxplot_before.svg").write_text(boxplot_svg(m, title="before normalization"))
+    # the writes need only the result: free the input first
+    del m
     save_matrix(res.matrix, out / "normalized.csv")
     save_reference_csv(res.reference, out / "reference.csv")
     if res.borders is not None:
         save_depth_csv(res.matrix, res.borders, out / "depth.csv")
     if args.boxplot_svg:
-        (out / "boxplot_before.svg").write_text(boxplot_svg(m, title="before normalization"))
         (out / "boxplot_after.svg").write_text(
             boxplot_svg(res.matrix, title="after normalization")
         )

@@ -48,8 +48,8 @@ class PartitionError(DataError):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    """Read-only view, so a caller's own array keeps its writeable flag."""
-    a = np.ascontiguousarray(a, dtype=np.float64).view()
+    """Read-only view in ``a``'s own layout, so a caller's array keeps its writeable flag."""
+    a = np.asarray(a, dtype=np.float64).view()
     a.flags.writeable = False
     return a
 
@@ -320,29 +320,83 @@ def load_matrix(path, fmt: Optional[str] = None, has_header: Optional[bool] = No
     return ExpressionMatrix(data, sample_ids)
 
 
+# save_matrix formats a block of about this many cells at a time
+_WRITE_CELLS = 1 << 16
+
+
+def _text_table(values: np.ndarray):
+    """(repr of each distinct value, each cell's index into them in C order).
+
+    Values are told apart by bit pattern, so ``-0.0`` stays apart from
+    ``0.0``.  One argsort ranks the bits and a cumulative sum over the
+    changes between neighbours gives each cell its distinct value's index.
+    The ranking is freed before the texts are made, a block at a time.
+    (None, None) when there are more distinct values than half the cells:
+    the table's strings, about 80 bytes per distinct value, would then
+    hold over six matrix copies, and formatting each block's cells
+    directly is about as fast (``save_matrix_branches`` in BENCH_16.json
+    times both ways).
+    """
+    bits = values.view(np.int64).ravel()
+    order = np.argsort(bits)
+    ranked = bits[order]
+    new = np.not_equal(ranked[1:], ranked[:-1])
+    count = 1 + int(np.count_nonzero(new))
+    if 2 * count > bits.size:
+        return None, None
+    distinct = ranked[np.concatenate(([True], new))].view(np.float64)
+    del ranked
+    # the cells after the first in rank order, each as its distinct value's index
+    rank = new.astype(np.int32 if count <= 2**31 else np.intp)
+    del new
+    np.cumsum(rank, out=rank)
+    index = np.empty_like(rank, shape=bits.size)
+    index[order[0]] = 0
+    index[order[1:]] = rank
+    del order, rank
+    texts = np.empty(count, dtype=object)
+    for at in range(0, count, _WRITE_CELLS):
+        texts[at:at + _WRITE_CELLS] = [repr(v) for v in distinct[at:at + _WRITE_CELLS].tolist()]
+    return texts, index
+
+
 def save_matrix(m: ExpressionMatrix, path, fmt: Optional[str] = None) -> None:
     """Write a matrix that :func:`load_matrix` reads back exactly.
 
     Default sample ids ``1..n`` are not written; any others form a header
     row, quoted in full when an id reads as a number or has surrounding
     whitespace (see :func:`write_rows`).  A cell is its float's repr, as
-    csv writes it; each distinct value (by bit pattern, so ``-0.0`` stays
-    apart from ``0.0``) is formatted once, since a quantile-normalized
-    matrix holds at most one value per row.
+    csv writes it.  The rows are formatted and written a block of about
+    ``_WRITE_CELLS`` cells at a time.  When a distinct value fills two
+    cells or more on average, as in a quantile-normalized matrix (at most
+    one value per row, so even at two columns), each distinct value is
+    formatted once into a table that every block reads; otherwise each
+    block formats its own cells and no table is built.  Beyond the
+    matrix, the peak is the ranking of the cells' bits, about two more
+    matrix-sized arrays for a moment, or the table when it is larger:
+    about 80 bytes per distinct value, which puts the peak near seven
+    matrix copies for a two-column quantile-normalized matrix and near
+    two and a third from 12 columns up.
     """
     for s in m.sample_ids:
         if len(s) > csv.field_size_limit():
             raise DataError(f"sample id {s[:20]!r}... is longer than a CSV field can hold")
     delimiter = _delimiter(path, fmt)
-    bits, inverse = np.unique(m.values.view(np.int64).ravel(), return_inverse=True)
-    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    # the repr of a finite float holds no delimiter, quote or line break,
-    # so csv would have written every data cell unquoted
-    cells = texts[inverse.reshape(m.values.shape)].tolist()
+    values = m.values
+    g, n = values.shape
+    texts, index = _text_table(values)
+    step = max(1, _WRITE_CELLS // n)
     with open(path, "w", newline="") as fh:
-        if m.sample_ids != default_sample_ids(m.n_samples):
+        if m.sample_ids != default_sample_ids(n):
             write_rows(fh, [m.sample_ids], delimiter)
-        fh.writelines(delimiter.join(row) + LINE_END for row in cells)
+        # the repr of a finite float holds no delimiter, quote or line break,
+        # so csv would have written every data cell unquoted
+        for at in range(0, g, step):
+            if texts is None:
+                rows = (map(repr, row) for row in values[at:at + step].tolist())
+            else:
+                rows = texts[index[at * n:(at + step) * n]].reshape(-1, n).tolist()
+            fh.writelines(delimiter.join(row) + LINE_END for row in rows)
 
 
 def load_class_labels(source: str, n: int) -> ClassPartition:
@@ -388,8 +442,17 @@ def log1_transform(m: ExpressionMatrix) -> ExpressionMatrix:
 
 
 def column_sort(m: ExpressionMatrix) -> ExpressionMatrix:
-    """Sort every column ascending (the X* representation)."""
-    return m.with_values(np.sort(m.values, axis=0))
+    """Sort every column ascending (the X* representation).
+
+    The sorted columns are the curves that depth compares, so they are
+    built in the layout the distances read: one C-contiguous n x G array
+    with each row sorted, of which the result wraps the transpose (G x n,
+    F-ordered).  The values equal ``np.sort(m.values, axis=0)`` bit for
+    bit, and ``pairwise_distances`` reads the curves without a copy.
+    """
+    curves = np.array(m.values.T, order="C")
+    curves.sort(axis=1)
+    return m.with_values(curves.T)
 
 
 def component_wise_median(m: ExpressionMatrix):
@@ -401,17 +464,21 @@ def component_wise_median(m: ExpressionMatrix):
     """
     from .normalize import ReferenceCurve
 
-    return ReferenceCurve(np.median(m.values, axis=1), source_tag="component_median")
+    # across the rows of the transpose: on column_sort's layout np.median then
+    # partitions one copy of the curves, where along axis 1 it takes two
+    return ReferenceCurve(np.median(m.values.T, axis=0), source_tag="component_median")
 
 
 _ANCHORS = ("median", "q75", "mean", "sum")
 
 
 def _anchor_stat(values: np.ndarray, anchor: str) -> np.ndarray:
+    # column by column: along axis 0, np.median and np.quantile partition a
+    # copy of the whole matrix, and one column at a time gives the same bits
     if anchor == "median":
-        return np.median(values, axis=0)
+        return np.array([np.median(col) for col in values.T])
     if anchor == "q75":
-        return np.quantile(values, 0.75, axis=0)
+        return np.array([np.quantile(col, 0.75) for col in values.T])
     if anchor == "mean":
         return values.mean(axis=0)
     if anchor == "sum":

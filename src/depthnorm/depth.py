@@ -77,7 +77,11 @@ class BorderSequence:
 
 
 def pairwise_distances(m: ExpressionMatrix) -> DistanceMatrix:
-    """Euclidean distance between every pair of columns."""
+    """Euclidean distance between every pair of columns.
+
+    The kernel reads the columns as rows: a :func:`~depthnorm.core.column_sort`
+    result is already laid out so, and any other matrix is copied once.
+    """
     d = _kernels.pairwise_dists(np.ascontiguousarray(m.values.T))
     # the values are finite, so a non-finite distance is an overflow
     if not np.isfinite(d).all():

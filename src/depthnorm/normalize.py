@@ -167,17 +167,24 @@ def normalize_pipeline(
     sorted columns or the deepest sorted column.  With a ``grid`` the
     columns are interpolated between its quantile knots; without one they
     take the reference value at each rank.
+
+    Memory: besides ``m``, at most two matrix-sized arrays are alive at
+    once: the prenormalized columns and either their sorted curves or the
+    mapped output.
     """
     work = linear_prenormalize(m, prenorm_anchor) if prenorm_anchor else m
-    sorted_m = column_sort(work)
+    curves = column_sort(work)
     borders = None
     if reference == "component_median":
-        ref = component_wise_median(sorted_m)
+        ref = component_wise_median(curves)
     elif reference == "deepest":
-        borders = peel_borders(sorted_m)
-        ref = deepest_curve(sorted_m, borders)
+        borders = peel_borders(curves)
+        ref = deepest_curve(curves, borders)
     else:
         raise DomainError(f"unknown reference {reference!r}")
+    # the map reads the unsorted columns: the sorted copy goes before it
+    # allocates its output
+    del curves
     if grid is None:
         mapped = quantile_normalize_full(work, ref)
     else:

@@ -318,13 +318,12 @@ class OutlierReport:
 
 
 def _scope_report(
-    curves: ExpressionMatrix,
-    columns: np.ndarray,
+    sub: ExpressionMatrix,
     g_factor: float,
     scope: str,
     flag_both: bool,
 ) -> OutlierReport:
-    sub = ExpressionMatrix(curves.values[:, columns], tuple(curves.sample_ids[j] for j in columns))
+    """The report on the sorted curves ``sub`` of one scope."""
     ids = sub.sample_ids
     bs = peel_borders(sub)
     iqr = robust_iqr(bs)
@@ -378,10 +377,14 @@ def detect_outliers(
     if labels is not None and len(labels.labels) != m.n_samples:
         raise PartitionError(f"{len(labels.labels)} class labels for {m.n_samples} columns")
     curves = column_sort(m)
-    scopes = [("global", np.arange(m.n_samples, dtype=np.intp))]
+    reports = [_scope_report(curves, cal.g_factor, "global", flag_both)]
     if labels is not None:
-        scopes += [(f"class {k}", labels.members(k)) for k in range(1, labels.class_count + 1)]
-    return [_scope_report(curves, cols, cal.g_factor, scope, flag_both) for scope, cols in scopes]
+        for k in range(1, labels.class_count + 1):
+            cols = labels.members(k)
+            # rows of the curves' n x G layout, so the class keeps that layout
+            sub = ExpressionMatrix(curves.values.T[cols].T, tuple(curves.sample_ids[j] for j in cols))
+            reports.append(_scope_report(sub, cal.g_factor, f"class {k}", flag_both))
+    return reports
 
 
 # ---------------------------------------------------------------------------

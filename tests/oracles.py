@@ -7,7 +7,10 @@ direct transcription of the weighting iteration.  The calibration
 replicate oracle allocates every step afresh.  The rank-map oracle
 is the tie-averaging quantile map with a stable argsort.  The matrix text
 oracles are the cell-by-cell reader and the csv.writer writer that the
-vectorized ``load_matrix`` and ``save_matrix`` must match.
+vectorized ``load_matrix`` and ``save_matrix`` must match, and the
+one-shot table writer whose bytes the blocked ``save_matrix`` keeps.  The
+distance oracle takes each row's differences to all later rows at once,
+the loop whose bits the blocked distance kernel keeps.
 """
 
 import csv
@@ -225,3 +228,33 @@ def save_matrix_oracle(values, sample_ids, path, delimiter: str) -> None:
             csv.writer(fh, delimiter=delimiter, quoting=quoting).writerow(first)
             break
         csv.writer(fh, delimiter=delimiter).writerows(rows)
+
+
+def save_matrix_one_shot_oracle(values, sample_ids, path, delimiter: str) -> None:
+    """One ``np.unique`` of every cell's bits, one repr per distinct value, one write.
+
+    The header row goes through csv.writer as in ``save_matrix_oracle``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    default = tuple(str(j + 1) for j in range(values.shape[1]))
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    cells = texts[inverse.reshape(values.shape)].tolist()
+    with open(path, "w", newline="") as fh:
+        if tuple(sample_ids) != default:
+            first = list(sample_ids)
+            quote_all = any(c != c.strip() or _oracle_numeric(c) for c in first)
+            quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
+            csv.writer(fh, delimiter=delimiter, quoting=quoting).writerow(first)
+        fh.writelines(delimiter.join(row) + "\r\n" for row in cells)
+
+
+def pairwise_dists_oracle(xt: np.ndarray) -> np.ndarray:
+    """Distances between the rows of ``xt``: each row against all later rows in one einsum."""
+    n = xt.shape[0]
+    d = np.zeros((n, n))
+    with np.errstate(over="ignore"):
+        for i in range(n - 1):
+            diff = xt[i + 1:] - xt[i]
+            d[i, i + 1:] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return d + d.T

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -57,6 +58,68 @@ class TestNormalizeCommand:
         ) == 0
         assert (out / "normalized.csv").exists()
         assert not (out / "depth.csv").exists()
+
+
+def _seeded_matrix(directory: Path) -> Path:
+    """9,000 x 11 with tied values and a duplicate column: wider than einsum's 8,192-value buffer."""
+    rng = np.random.default_rng(16)
+    x = np.round(rng.lognormal(3.0, 1.0, size=(9000, 11)), 3)
+    x[:, 7] = x[:, 2]
+    f = directory / "seeded.csv"
+    np.savetxt(f, x, fmt="%.17g", delimiter=",", comments="",
+               header=",".join(f"s{j:02d}" for j in range(11)))
+    return f
+
+
+# sha256 of each artifact: the data path's layout and blocking must not move a byte
+SEEDED_ARTIFACTS = {
+    ("normalize", "--boxplot-svg"): {
+        "normalized.csv":
+            "ae6e88ecc05555459940eeddd1a39978c2292df1afe4af064b7d9faff73214fb",
+        "reference.csv":
+            "0338792a5c6c52066c29acf36c9fed308da323ed375f2a423feee20346922626",
+        "depth.csv":
+            "ad43fdb87eeafd33ad4f13ece5f3c373be2a8ad63918eb67444cb75444f9af4e",
+        "boxplot_before.svg":
+            "c06950fddafa0bc98be47f5dcc4b9eec82d83b76e25cc4afe735ade8986420be",
+        "boxplot_after.svg":
+            "67dd71cbfbd6253914d4e358172a82b39f339ba763dbb0003caf674b730ab6ae",
+    },
+    ("normalize", "--mode", "subset"): {
+        "normalized.csv":
+            "878ff753357534f756f8e439f4d28eba10dd24225e9dee39c4efd3d91dcfa01b",
+        "reference.csv":
+            "0338792a5c6c52066c29acf36c9fed308da323ed375f2a423feee20346922626",
+        "depth.csv":
+            "ad43fdb87eeafd33ad4f13ece5f3c373be2a8ad63918eb67444cb75444f9af4e",
+    },
+    ("normalize", "--reference", "component-median"): {
+        "normalized.csv":
+            "aacd5ca18757f2af8132d9f358f707da3c510acdbe15d6a1db0016e4bfda4de0",
+        "reference.csv":
+            "e26bfbe0c56293032b031e9abfdc74c0d70ff0be7dc242917342537ae426609c",
+    },
+    ("depth",): {
+        "depth.csv":
+            "ad43fdb87eeafd33ad4f13ece5f3c373be2a8ad63918eb67444cb75444f9af4e",
+    },
+    ("outliers", "--both-members", "--classes", "1,2,3,1,2,3,1,1,2,1,3", "--g-factor", "1.2"): {
+        "outliers.csv":
+            "d3f77cd9e21e6ab44ad4c2f580d44c8acc71e1b15e3ecf322cea6953e03677ed",
+        "outliers.json":
+            "5bfa65dac83a5ea5db1c0b41a4c5e884ed611132a9a1b532d82db95d7943d717",
+        "outliers.txt":
+            "6f5f0b936a61760db71ec96f6ebc1d51bcbb35538d59d569a6ae1d99b4634839",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(SEEDED_ARTIFACTS), ids=" ".join)
+def test_seeded_matrix_artifacts_keep_their_bytes(tmp_path, argv):
+    out = tmp_path / "out"
+    assert run(*argv, "--input", _seeded_matrix(tmp_path), "--output-dir", out) == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert written == SEEDED_ARTIFACTS[argv]
 
 
 class TestDepthCommand:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,18 +16,24 @@ from depthnorm import (
     ExpressionMatrix,
     ParseError,
     PartitionError,
+    QuantileGrid,
+    TukeyCalibration,
     column_sort,
     component_wise_median,
+    detect_outliers,
     filter_zero_rows,
     linear_prenormalize,
     load_class_labels,
     load_matrix,
     log1_transform,
+    normalize_pipeline,
+    peel_borders,
+    robust_covariance,
     save_matrix,
 )
 from depthnorm import core
 
-from oracles import load_matrix_oracle, save_matrix_oracle
+from oracles import load_matrix_oracle, save_matrix_one_shot_oracle, save_matrix_oracle
 
 
 class TestLoadMatrix:
@@ -265,11 +273,12 @@ SUFFIXES = [".csv", ".tsv", ".txt"]
 REPEATED = np.repeat(np.arange(1.0, 51.0) / 3, 4).reshape(50, 4)
 
 
-def _assert_saves_like_oracle(m, directory, suffix):
+def _assert_saves_like_oracle(m, directory, suffix, oracle=save_matrix_oracle):
     f, want = directory / f"m{suffix}", directory / f"want{suffix}"
     save_matrix(m, f)
-    save_matrix_oracle(m.values, m.sample_ids, want, _delimiter_of(suffix))
+    oracle(m.values, m.sample_ids, want, _delimiter_of(suffix))
     assert f.read_bytes() == want.read_bytes()
+    return f
 
 
 class TestSaveMatrixBytes:
@@ -298,6 +307,79 @@ class TestSaveMatrixBytes:
         _assert_saves_like_oracle(ExpressionMatrix(values, ids or ()), tmp_path, suffix)
 
 
+# values whose reprs are the corner cases: signed zeros, subnormals, the largest finite
+CORNER_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 0.1, 1e16, 1.0]
+FINITE = st.sampled_from(CORNER_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "transposed": lambda v: np.ascontiguousarray(v.T).T,
+}
+
+
+def _assert_saves_like_one_shot(m, directory, suffix):
+    back = load_matrix(_assert_saves_like_oracle(m, directory, suffix, save_matrix_one_shot_oracle))
+    assert back.sample_ids == m.sample_ids and _bits(back.values) == _bits(m.values)
+
+
+class TestBlockedSaveMatrix:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        data=st.data(),
+        suffix=st.sampled_from(SUFFIXES),
+        block_cells=st.integers(1, 12),
+        repeated=st.booleans(),
+        layout=st.sampled_from(sorted(LAYOUTS)),
+    )
+    def test_blocks_write_the_bytes_of_the_one_shot_table(
+        self, tmp_path, monkeypatch, data, suffix, block_cells, repeated, layout
+    ):
+        monkeypatch.setattr(core, "_WRITE_CELLS", block_cells)
+        n = data.draw(st.integers(2, 5))
+        if repeated:  # few distinct values: the table branch
+            g = data.draw(st.integers(2, 9))
+            pool = data.draw(st.lists(FINITE, min_size=1,
+                                      max_size=g * n // 2))
+            cells = data.draw(st.lists(st.sampled_from(pool), min_size=g * n, max_size=g * n))
+        else:  # every value distinct: each block formats its own cells
+            g = data.draw(st.integers(1, 9))
+            cells = data.draw(st.lists(FINITE, min_size=g * n, max_size=g * n,
+                                       unique_by=lambda v: struct.pack("<d", v)))
+        values = LAYOUTS[layout](np.array(cells, dtype=np.float64).reshape(g, n))
+        ids = data.draw(st.none() | st.lists(st.text(), min_size=n, max_size=n).map(tuple))
+        m = ExpressionMatrix(values, ids or ())
+        assert (core._text_table(m.values)[0] is None) == (not repeated)
+        _assert_saves_like_one_shot(m, tmp_path, suffix)
+
+    @pytest.mark.parametrize("suffix", SUFFIXES)
+    @pytest.mark.parametrize("g", [1, 2, 7, 50])
+    @pytest.mark.parametrize("repeated", [True, False], ids=["table", "direct"])
+    def test_row_counts_off_the_block_size(self, tmp_path, monkeypatch, suffix, g, repeated):
+        monkeypatch.setattr(core, "_WRITE_CELLS", 9)  # two rows of 4 per block
+        rng = np.random.default_rng(g)
+        values = rng.standard_normal((g, 4))
+        if repeated:  # at most one distinct value per row of 4
+            values = np.sort(rng.choice([-0.0, 0.0, 1.5, -2.25][:g], size=(g, 4)), axis=0)
+        ids = ("a", "b", "c", "d") if g % 2 else ()
+        m = ExpressionMatrix(values, ids)
+        assert (core._text_table(m.values)[0] is None) == (not repeated)
+        _assert_saves_like_one_shot(m, tmp_path, suffix)
+
+
+    @pytest.mark.parametrize("n", [2, 3, 24])
+    def test_quantile_output_formats_each_distinct_value_once(self, tmp_path, monkeypatch, n):
+        # at most one distinct value per row: even two columns take the table
+        values = np.random.default_rng(n).lognormal(6.0, 1.2, size=(300, n))
+        out = normalize_pipeline(ExpressionMatrix(values)).matrix
+        formatted = []
+        monkeypatch.setattr(core, "repr", lambda v: formatted.append(v) or float.__repr__(v),
+                            raising=False)
+        _assert_saves_like_one_shot(out, tmp_path, ".csv")
+        assert len(formatted) == np.unique(out.values).size
+
+
 class TestMatrixValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
@@ -313,6 +395,29 @@ class TestMatrixValidation:
         ExpressionMatrix(arr)
         assert arr.flags.writeable
         arr[0, 0] = 9.0
+
+    @pytest.mark.parametrize("layout", ["F", "transposed", "strided"])
+    def test_library_calls_leave_a_callers_non_contiguous_array_alone(self, tmp_path, layout):
+        # such an array is wrapped, not copied: no call may write through the view
+        base = np.random.default_rng(8).lognormal(1.0, 1.0, size=(40, 6))
+        arr = {"F": np.asfortranarray(base),
+               "transposed": np.ascontiguousarray(base.T).T,
+               "strided": np.repeat(base, 2, axis=0)[::2]}[layout]
+        before = arr.copy()
+        m = ExpressionMatrix(arr, ("a", "b", "c", "d", "e", "f"))
+        column_sort(m)
+        linear_prenormalize(m)
+        log1_transform(m)
+        filter_zero_rows(m, 6)
+        component_wise_median(m)
+        normalize_pipeline(m)
+        normalize_pipeline(m, reference="component_median", grid=QuantileGrid.uniform(5))
+        peel_borders(m)
+        robust_covariance(m)
+        detect_outliers(m, TukeyCalibration.fixed(1.5), ClassPartition((1, 1, 1, 2, 2, 2)))
+        save_matrix(m, tmp_path / "m.csv")
+        assert arr.flags.writeable
+        assert _bits(arr) == _bits(before)
 
 
 class TestFilterZeroRows:
@@ -384,6 +489,20 @@ class TestColumnSort:
         m = ExpressionMatrix(np.array([[2.0, 0.0], [2.0, 0.0], [1.0, 0.0]]))
         assert np.array_equal(column_sort(m).values[:, 0], [1, 2, 2])
 
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(2, 6)),
+                      elements=st.sampled_from([-0.0, 0.0, 1.0, -1.0, 5e-324]) | FINITE))
+    def test_values_are_np_sort_bit_for_bit(self, values):
+        # -0.0 and 0.0 tie: each lands where np.sort puts it
+        got = column_sort(ExpressionMatrix(values)).values
+        assert _bits(got) == _bits(np.sort(values, axis=0))
+
+    def test_curves_are_the_rows_of_one_c_contiguous_array(self):
+        m = ExpressionMatrix(np.random.default_rng(3).normal(size=(25, 4)))
+        curves = column_sort(m).values.T
+        assert curves.flags.c_contiguous
+        assert np.shares_memory(np.ascontiguousarray(curves), curves)
+
 
 class TestComponentWiseMedian:
     def test_convex_hull_pathology(self):
@@ -439,6 +558,25 @@ class TestLinearPrenormalize:
         m = ExpressionMatrix(np.ones((2, 2)))
         with pytest.raises(DomainError):
             linear_prenormalize(m, "mode")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.integers(0, 20),
+        parity=st.sampled_from([0, 1]),
+        layout=st.sampled_from(sorted(LAYOUTS)),
+    )
+    def test_anchors_by_column_keep_the_bits_along_axis_0(self, data, rows, parity, layout):
+        # odd and even row counts, ties, and -0.0 beside 0.0
+        g, n = 2 * rows + parity or 2, data.draw(st.integers(1, 5))
+        moderate = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.0, 1.0 + 2**-52]) | st.floats(
+            -1e300, 1e300, allow_nan=False)
+        pool = data.draw(st.lists(moderate, min_size=1, max_size=g * n))
+        cells = data.draw(st.lists(st.sampled_from(pool), min_size=g * n, max_size=g * n))
+        values = LAYOUTS[layout](np.array(cells, dtype=np.float64).reshape(g, n))
+        assert core._anchor_stat(values, "median").tobytes() == np.median(values, axis=0).tobytes()
+        assert (core._anchor_stat(values, "q75").tobytes()
+                == np.quantile(values, 0.75, axis=0).tobytes())
 
 
 class TestClassPartition:

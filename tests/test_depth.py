@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +10,14 @@ from depthnorm import (
     DimensionError,
     ExpressionMatrix,
     column_sort,
+    component_wise_median,
     deepest_curve,
     extract_borders,
     pairwise_distances,
     peel_borders,
 )
-from depthnorm.depth import DistanceMatrix, depth_records
+from depthnorm.depth import DistanceMatrix, depth_records, save_depth_csv
+from depthnorm.normalize import save_reference_csv
 
 from oracles import borders_oracle
 
@@ -203,3 +208,36 @@ class TestDepthExport:
         rows = depth_records(m, extract_borders(pairwise_distances(m)))
         assert rows[1]["pair_partner_id"] == ""
         assert rows[1]["intra_pair_distance"] == 0.0
+
+
+def _artifacts(curves: ExpressionMatrix, directory: Path):
+    """The bytes of reference.csv (deepest and component median) and depth.csv from ``curves``."""
+    bs = peel_borders(curves)
+    save_reference_csv(deepest_curve(curves, bs), directory / "deepest.csv")
+    save_reference_csv(component_wise_median(curves), directory / "median.csv")
+    save_depth_csv(curves, bs, directory / "depth.csv")
+    return bs, [(directory / f).read_bytes() for f in ("deepest.csv", "median.csv", "depth.csv")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=st.integers(1, 60),
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    pool=st.sampled_from([None, (-0.0, 0.0, 1.0), (-0.0, -1e-300, 2.5, 2.5000000000000004)]),
+)
+def test_the_curve_layout_keeps_depth_and_reference_bytes(g, n, seed, pool):
+    # the sorted curves in their n x G layout against the same values G x n C-ordered,
+    # the layout column_sort gave before, with duplicate columns and signed-zero ties
+    rng = np.random.default_rng(seed)
+    values = rng.lognormal(0.0, 1.0, size=(g, n)) if pool is None else rng.choice(pool, (g, n))
+    values[:, rng.integers(0, n)] = values[:, 0]
+    m = ExpressionMatrix(values, tuple(f"s{j}" for j in range(n)))
+    curves = column_sort(m)
+    rowwise = ExpressionMatrix(np.ascontiguousarray(np.sort(values, axis=0)), m.sample_ids)
+    assert curves.values.T.flags.c_contiguous and rowwise.values.flags.c_contiguous
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        bs, got = _artifacts(curves, Path(a))
+        bs_rowwise, want = _artifacts(rowwise, Path(b))
+    assert bs == bs_rowwise
+    assert got == want

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from depthnorm import DomainError, _kernels
 from depthnorm.outlier import _mix_rows
 from depthnorm.pipeline import biweight_location
-from oracles import biweight_oracle, medpolish_oracle
+from oracles import biweight_oracle, medpolish_oracle, pairwise_dists_oracle
 
 LAYOUTS = {
     "uniform": np.array([0, 11, 22, 33, 44, 55], dtype=np.int64),
@@ -151,6 +151,64 @@ def test_blocked_mix_has_the_bits_of_the_whole_product(n, g, seed):
     # the rest may round differently in another BLAS kernel: within the dot-product bound
     bound = 2 * n * np.finfo(float).eps * (np.abs(factor) @ np.abs(z))
     assert (np.abs(buf - want) <= bound).all()
+
+
+# ---------------------------------------------------------------------------
+# the blocked distance loop against the whole-tail loop
+
+# einsum sums a one-row operand of more than 8,192 values in another order than
+# the same row inside a larger block, so the distance tests need wider rows
+WIDE = 8_193
+
+
+def _leaves_a_one_row_remainder(n):
+    """Whether some row's tail of later rows (2 or more) splits into blocks with one row left."""
+    return any(t % _kernels._DIST_ROWS == 1 for t in range(2, n))
+
+
+def _rows(seed, n, g, sort, duplicates):
+    rng = np.random.default_rng(seed)
+    x = rng.lognormal(1.0, 1.5, size=(n, g))
+    if duplicates and n > 2:
+        x[rng.integers(0, n, size=n // 2)] = x[rng.integers(0, n)]
+    if sort:
+        x.sort(axis=1)  # curves, as the data path compares them
+    return x
+
+
+def _assert_dists_keep_the_bits_of_the_oracle(x):
+    assert _kernels.pairwise_dists(x).tobytes() == pairwise_dists_oracle(x).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    g=st.sampled_from([1, 7, WIDE, 20_000]) | st.integers(1, 20_000),
+    seed=st.integers(0, 2**32 - 1),
+    sort=st.booleans(),
+    duplicates=st.booleans(),
+)
+def test_blocked_distances_have_the_bits_of_the_whole_tail_loop(n, g, seed, sort, duplicates):
+    _assert_dists_keep_the_bits_of_the_oracle(_rows(seed, n, g, sort, duplicates))
+
+
+@pytest.mark.parametrize("n", [n for n in range(2, 41) if _leaves_a_one_row_remainder(n)])
+def test_no_block_is_one_row_unless_the_tail_is(n):
+    # every n whose tails would end in a one-row block, sorted and unsorted, at a width
+    # where a one-row einsum rounds differently
+    for sort in (False, True):
+        _assert_dists_keep_the_bits_of_the_oracle(_rows(n, n, WIDE + n, sort, duplicates=n % 2))
+
+
+def test_row_blocks_cover_the_tail_without_one_row_blocks():
+    for start in range(0, 12):
+        for stop in range(start + 1, 40):
+            edges = list(_kernels._row_blocks(start, stop))
+            assert edges[0][0] == start and edges[-1][1] == stop
+            assert all(b == a2 for (_, b), (a2, _) in zip(edges, edges[1:]))
+            sizes = [b - a for a, b in edges]
+            assert max(sizes) <= _kernels._DIST_ROWS + 1
+            assert min(sizes) > 1 or stop - start == 1, (start, stop, sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,66 @@
+"""Traced peak memory of the data path at a fixed size, in matrix copies.
+
+The matrix is 20,000 x 24, so one float64 copy is 3.84 MB.  Each bound
+counts what a call allocates beyond its input, its result included.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from depthnorm import ExpressionMatrix, column_sort, normalize_pipeline, peel_borders, save_matrix
+
+G, N = 20_000, 24
+COPY = G * N * 8
+
+
+@pytest.fixture(scope="module")
+def matrix():
+    # all-distinct values, like a raw input or subset-mode output
+    return ExpressionMatrix(np.random.default_rng(11).lognormal(6.0, 1.2, size=(G, N)))
+
+
+def traced_peak(call, *args, **kwargs) -> float:
+    """Peak traced bytes of the second of two calls, in matrix copies (the first warms caches)."""
+    call(*args, **kwargs)
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / COPY
+
+
+def test_save_matrix_of_quantile_output(matrix, tmp_path):
+    # about one distinct value per row: the ranking of the cells' bits, then one
+    # table of texts and each cell's int32 index into it
+    out = normalize_pipeline(matrix).matrix
+    assert traced_peak(save_matrix, out, tmp_path / "m.csv") < 3.0
+
+
+def test_save_matrix_of_all_distinct_values(matrix, tmp_path):
+    # the ranking of the cells' bits, then one block of cells at a time
+    assert traced_peak(save_matrix, matrix, tmp_path / "m.csv") < 3.0
+
+
+def test_peel_borders_of_sorted_curves(matrix):
+    # the curves are read in place and differenced a few rows at a time
+    assert traced_peak(peel_borders, column_sort(matrix)) < 0.5
+
+
+@pytest.mark.parametrize("reference, bound", [("deepest", 3.0), ("component_median", 3.25)])
+def test_normalize_pipeline(matrix, reference, bound):
+    # the prenormalized columns and either their sorted curves or the output, plus
+    # one column's temporaries (or, for the median reference, one partitioned copy
+    # of the curves)
+    assert traced_peak(normalize_pipeline, matrix, reference=reference) < bound
+
+
+def test_save_matrix_of_narrow_quantile_output(tmp_path):
+    # three columns: each distinct value fills three cells, so the table is built,
+    # and its strings (about 80 bytes each) outweigh the ranking of the bits
+    narrow = ExpressionMatrix(np.random.default_rng(12).lognormal(6.0, 1.2, size=(G * N // 3, 3)))
+    out = normalize_pipeline(narrow).matrix
+    assert traced_peak(save_matrix, out, tmp_path / "m.csv") < 5.5
