@@ -38,11 +38,13 @@ from .normalize import (
 )
 from .outlier import (
     OutlierReport,
+    ScopeScreen,
     TukeyCalibration,
     calibrate_g,
     detect_outliers,
     robust_covariance,
     robust_iqr,
+    screen_outliers,
 )
 from .pipeline import (
     MedianPolishFit,

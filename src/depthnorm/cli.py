@@ -30,12 +30,12 @@ from .normalize import QuantileGrid, normalize_pipeline, save_reference_csv
 from .outlier import (
     TukeyCalibration,
     calibrate_g,
-    detect_outliers,
     format_report_table,
     load_reports,
     reports_to_json,
     robust_covariance,
     save_report_csv,
+    screen_outliers,
 )
 from .plots import boxplot_svg
 from .simulate import ALL_METHODS, SimulationConfig, StudyReport, run_grid
@@ -260,10 +260,17 @@ def _cmd_outliers(args) -> int:
         m = linear_prenormalize(m, args.prenorm)
     labels = load_class_labels(args.classes, m.n_samples) if args.classes else None
     if args.g_factor is not None:
-        cal = TukeyCalibration.fixed(args.g_factor)
+        cal, cov = TukeyCalibration.fixed(args.g_factor), None
     else:
-        cal = _calibrate(args, out, m.n_samples, m.n_features, robust_covariance(m))
-    reports = detect_outliers(m, cal, labels, flag_both=args.both_members)
+        cal, cov = None, robust_covariance(m)
+    n, n_features = m.n_samples, m.n_features
+    # the screens hold all the fence needs from the data: a screen error ends the
+    # run before calibration, and the matrix is freed before calibration allocates
+    screens = screen_outliers(m, labels)
+    del m
+    if cal is None:
+        cal = _calibrate(args, out, n, n_features, cov)
+    reports = [s.report(cal.g_factor, args.both_members) for s in screens]
     tables = _tables(reports, Path(args.input).stem)
     (out / "outliers.txt").write_text(tables + "\n")
     save_report_csv(reports, out / "outliers.csv")

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import (
+    LINE_END,
     DimensionError,
     DomainError,
     ExpressionMatrix,
@@ -80,30 +80,47 @@ def _check_ref(m: ExpressionMatrix, ref: ReferenceCurve) -> np.ndarray:
     return rv
 
 
+def rank_map_into(values: np.ndarray, rv: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` each value of ``values`` replaced by ``rv`` at its within-column rank.
+
+    ``rv`` is non-decreasing with one entry per row.  Tied values share
+    the average of ``rv`` over their rank range, so the map stays
+    well-defined and order-preserving.  Every member of a tie run gets
+    the same value, so the order within a run cannot change the output
+    and the argsort need not be stable.  Besides the argsort, a column's
+    temporaries are two boolean masks and arrays the size of its ties.
+    """
+    g = values.shape[0]
+    csum = np.concatenate(([0.0], np.cumsum(rv)))
+    for j in range(values.shape[1]):
+        col = values[:, j]
+        order = np.argsort(col)
+        sorted_col = col[order]
+        # tied[k]: ranks k and k + 1 hold one value
+        tied = sorted_col[1:] == sorted_col[:-1]
+        del sorted_col
+        # untied values take the reference entry itself
+        out[order, j] = rv
+        # a run of tied ranks [s, e) begins and ends where tied changes
+        changes = np.flatnonzero(np.diff(np.concatenate(([False], tied, [False]))))
+        starts, ends = changes[0::2], changes[1::2] + 1
+        lengths = ends - starts
+        # a tie run averages its reference values, held within them against round-off
+        means = np.clip((csum[ends] - csum[starts]) / lengths, rv[starts], rv[ends - 1])
+        in_run = np.zeros(g, dtype=bool)
+        in_run[1:] = tied
+        in_run[:-1] |= tied
+        out[order[in_run], j] = np.repeat(means, lengths)
+
+
 def quantile_normalize_full(m: ExpressionMatrix, ref: ReferenceCurve) -> ExpressionMatrix:
     """Replace each value by the reference value at its within-column rank.
 
-    Tied values share the average of the reference values over their rank
-    range, so the map stays well-defined and order-preserving.  Every
-    member of a tie run gets the same value, so the order within a run
-    cannot change the output and the argsort need not be stable.
+    Tie runs take the average of the reference over their rank range
+    (see :func:`rank_map_into`).
     """
-    rv = _check_ref(m, ref)
-    g = m.n_features
-    csum = np.concatenate(([0.0], np.cumsum(rv)))
     out = np.empty_like(m.values)
-    for j in range(m.n_samples):
-        col = m.values[:, j]
-        order = np.argsort(col)
-        sorted_col = col[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_col)) + 1))
-        ends = np.concatenate((starts[1:], [g]))
-        lengths = ends - starts
-        # untied values take the reference entry itself; only tie runs average,
-        # held within their run's reference values against round-off
-        means = np.clip((csum[ends] - csum[starts]) / lengths, rv[starts], rv[ends - 1])
-        run_values = np.where(lengths == 1, rv[starts], means)
-        out[order, j] = np.repeat(run_values, lengths)
+    rank_map_into(m.values, _check_ref(m, ref), out)
     return m.with_values(out)
 
 
@@ -193,4 +210,8 @@ def normalize_pipeline(
 
 
 def save_reference_csv(ref: ReferenceCurve, path) -> None:
-    write_rows(path, chain([[ref.source_tag]], ([x] for x in ref.values.tolist())))
+    """The source tag, then one value per line as csv would write it."""
+    with open(path, "w", newline="") as fh:
+        write_rows(fh, [[ref.source_tag]])
+        # the repr of a finite float holds no comma, quote or line break
+        fh.writelines(f"{x!r}{LINE_END}" for x in ref.values.tolist())

@@ -41,7 +41,7 @@ from .depth import (
     extract_borders,
     peel_borders,
 )
-from .normalize import ReferenceCurve, quantile_normalize_full
+from .normalize import rank_map_into
 
 
 def robust_iqr(bs: BorderSequence) -> float:
@@ -122,18 +122,33 @@ def robust_covariance(m: ExpressionMatrix) -> np.ndarray:
     the Spearman rank correlation mapped through 2*sin(pi*rho/6) to the
     normal scale; the assembled matrix is symmetrized and floored at zero
     eigenvalues with the diagonal preserved.
+
+    Memory: one matrix-sized array, the ranks, besides one column's
+    temporaries.  The medians are taken column by column, and the rank
+    correlation replays ``np.corrcoef(ranks, rowvar=False)`` step for
+    step in place on the ranks, bit for bit.
     """
     if m.n_features < 3:
         raise DimensionError("need G >= 3 rows to estimate covariance")
-    med = np.median(m.values, axis=0)
-    mad = np.median(np.abs(m.values - med), axis=0)
+    # column by column: along axis 0, np.median partitions a copy of the matrix
+    med = np.array([np.median(col) for col in m.values.T])
+    mad = np.array([np.median(np.abs(col - c)) for col, c in zip(m.values.T, med)])
     if (mad == 0).any():
         j = int(np.flatnonzero(mad == 0)[0])
         raise DegenerateScaleError(f"column {m.sample_ids[j]!r} has zero MAD")
     scale = 1.4826 * mad
-    # ranks 1..G, tie runs averaged (rankdata's "average" ranks, exactly)
-    ranks = quantile_normalize_full(m, ReferenceCurve(np.arange(1.0, m.n_features + 1))).values
-    rho = np.corrcoef(ranks, rowvar=False)
+    # ranks 1..G, tie runs averaged (rankdata's "average" ranks, exactly), in
+    # the layout np.corrcoef's own copy of them would have
+    ranks = np.empty_like(m.values)
+    rank_map_into(m.values, np.arange(1.0, m.n_features + 1), ranks)
+    x = ranks.T
+    x -= x.mean(axis=1)[:, None]
+    rho = np.dot(x, x.T)
+    rho *= np.true_divide(1, m.n_features - 1)
+    stddev = np.sqrt(np.diag(rho))
+    rho /= stddev[:, None]
+    rho /= stddev[None, :]
+    np.clip(rho, -1, 1, out=rho)
     corr = 2.0 * np.sin(np.pi * rho / 6.0)
     # scales beyond about 1e154 overflow here; _psd_repair reports it
     with np.errstate(over="ignore"):
@@ -317,44 +332,86 @@ class OutlierReport:
         return self.pairs[: len(self.flagged_samples) // _FLAGS_PER_PAIR[self.rule]]
 
 
-def _scope_report(
-    sub: ExpressionMatrix,
-    g_factor: float,
-    scope: str,
-    flag_both: bool,
-) -> OutlierReport:
-    """The report on the sorted curves ``sub`` of one scope."""
+@dataclass(frozen=True)
+class ScopeScreen:
+    """The data half of one scope's screen: all the fence needs besides its multiplier.
+
+    ``pairs`` are the scope's borders named by sample id, ``iqr_estimate``
+    is their median distance, and ``farther`` holds, for each two-member
+    border in order, the member farther from the scope's deepest curve.
+    """
+
+    scope: str
+    pairs: tuple[Border, ...]
+    iqr_estimate: float
+    farther: tuple[str, ...]
+
+    def report(self, g_factor: float, flag_both: bool = False) -> OutlierReport:
+        """Apply Tukey's fence at ``g_factor`` times the IQR estimate to the borders."""
+        benchmark = g_factor * self.iqr_estimate
+        flagged = []
+        # the singleton border, if any, comes last and has no farther member
+        for border, far in zip(self.pairs, self.farther):
+            if not border.distance > benchmark:
+                break
+            flagged += border.members if flag_both else (far,)
+        return OutlierReport(
+            scope=self.scope,
+            pairs=self.pairs,
+            iqr_estimate=self.iqr_estimate,
+            g_factor=g_factor,
+            rule="both-members" if flag_both else "farther-from-deepest",
+            flagged_samples=tuple(flagged),
+        )
+
+
+def _screen_scope(sub: ExpressionMatrix, scope: str) -> ScopeScreen:
+    """The screen on the sorted curves ``sub`` of one scope."""
     ids = sub.sample_ids
     bs = peel_borders(sub)
     iqr = robust_iqr(bs)
     # a zero scale would flag every pair that is apart at all
     if iqr == 0.0 and bs.borders[0].distance > 0.0:
         raise DegenerateScaleError(f"{scope}: median border distance is 0; the fence has no scale")
-    benchmark = g_factor * iqr
-
     deep_curve = deepest_curve(sub, bs).values
-
-    flagged = []
+    farther = []
     for border in bs.borders:
-        if len(border.members) < 2 or not border.distance > benchmark:
+        if len(border.members) < 2:
             break
         a, b = border.members
-        if flag_both:
-            chosen = (a, b)
-        else:
-            da = np.linalg.norm(sub.values[:, a] - deep_curve)
-            db = np.linalg.norm(sub.values[:, b] - deep_curve)
-            chosen = (b,) if db > da else (a,)
-        flagged += [ids[c] for c in chosen]
-
-    return OutlierReport(
+        da = np.linalg.norm(sub.values[:, a] - deep_curve)
+        db = np.linalg.norm(sub.values[:, b] - deep_curve)
+        farther.append(ids[b] if db > da else ids[a])
+    return ScopeScreen(
         scope=scope,
         pairs=tuple(Border(tuple(ids[j] for j in b.members), b.distance) for b in bs.borders),
         iqr_estimate=iqr,
-        g_factor=g_factor,
-        rule="both-members" if flag_both else "farther-from-deepest",
-        flagged_samples=tuple(flagged),
+        farther=tuple(farther),
     )
+
+
+def screen_outliers(
+    m: ExpressionMatrix,
+    labels: Optional[ClassPartition] = None,
+) -> list[ScopeScreen]:
+    """The data half of :func:`detect_outliers`: one :class:`ScopeScreen` per scope.
+
+    The screens hold no matrix-sized data, so a caller may drop ``m``
+    before the fence multiplier is calibrated and apply it after with
+    :meth:`ScopeScreen.report`.  Raises here, before any calibration,
+    when the distances overflow or a scope's fence has no scale.
+    """
+    if labels is not None and len(labels.labels) != m.n_samples:
+        raise PartitionError(f"{len(labels.labels)} class labels for {m.n_samples} columns")
+    curves = column_sort(m)
+    screens = [_screen_scope(curves, "global")]
+    if labels is not None:
+        for k in range(1, labels.class_count + 1):
+            cols = labels.members(k)
+            # rows of the curves' n x G layout, so the class keeps that layout
+            sub = ExpressionMatrix(curves.values.T[cols].T, tuple(curves.sample_ids[j] for j in cols))
+            screens.append(_screen_scope(sub, f"class {k}"))
+    return screens
 
 
 def detect_outliers(
@@ -372,19 +429,10 @@ def detect_outliers(
     construction and IQR estimate inside the class and reusing the
     globally calibrated multiplier.  From each flagged pair the member
     farther from the deepest curve is reported (both members with
-    ``flag_both``).
+    ``flag_both``).  This is :func:`screen_outliers` followed by
+    :meth:`ScopeScreen.report` on each screen.
     """
-    if labels is not None and len(labels.labels) != m.n_samples:
-        raise PartitionError(f"{len(labels.labels)} class labels for {m.n_samples} columns")
-    curves = column_sort(m)
-    reports = [_scope_report(curves, cal.g_factor, "global", flag_both)]
-    if labels is not None:
-        for k in range(1, labels.class_count + 1):
-            cols = labels.members(k)
-            # rows of the curves' n x G layout, so the class keeps that layout
-            sub = ExpressionMatrix(curves.values.T[cols].T, tuple(curves.sample_ids[j] for j in cols))
-            reports.append(_scope_report(sub, cal.g_factor, f"class {k}", flag_both))
-    return reports
+    return [s.report(cal.g_factor, flag_both) for s in screen_outliers(m, labels)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ rescans the full distance matrix every round (O(n^3)), the fence oracle
 applies the classic one-dimensional rule, and the biweight oracle is a
 direct transcription of the weighting iteration.  The calibration
 replicate oracle allocates every step afresh.  The rank-map oracle
-is the tie-averaging quantile map with a stable argsort.  The matrix text
-oracles are the cell-by-cell reader and the csv.writer writer that the
-vectorized ``load_matrix`` and ``save_matrix`` must match, and the
+is the tie-averaging quantile map with a stable argsort, and the
+robust-covariance oracle takes its medians and rank correlation on whole
+fresh matrices.  The matrix text oracles are the cell-by-cell reader and
+the csv.writer writer that the vectorized ``load_matrix`` and
+``save_matrix`` must match, and the
 one-shot table writer whose bytes the blocked ``save_matrix`` keeps.  The
 distance oracle takes each row's differences to all later rows at once,
 the loop whose bits the blocked distance kernel keeps.
@@ -126,6 +128,21 @@ def rank_map_oracle(values: np.ndarray, ref: np.ndarray) -> np.ndarray:
         means = np.clip((csum[ends] - csum[starts]) / lengths, ref[starts], ref[ends - 1])
         out[order, j] = np.repeat(np.where(lengths == 1, ref[starts], means), lengths)
     return out
+
+
+def robust_covariance_oracle(values: np.ndarray) -> np.ndarray:
+    """The MAD-scaled Spearman covariance before its PSD repair, in whole-matrix steps.
+
+    Medians along axis 0, ranks from ``rank_map_oracle`` and the rank
+    correlation from ``np.corrcoef``, each step on a fresh array: the
+    formula the in-place ``robust_covariance`` keeps the bits of.
+    """
+    values = np.asarray(values, dtype=float)
+    med = np.median(values, axis=0)
+    scale = 1.4826 * np.median(np.abs(values - med), axis=0)
+    rho = np.corrcoef(rank_map_oracle(values, np.arange(1.0, values.shape[0] + 1)), rowvar=False)
+    with np.errstate(over="ignore"):
+        return 2.0 * np.sin(np.pi * rho / 6.0) * np.outer(scale, scale)
 
 
 def medpolish_oracle(block: np.ndarray, max_iter: int, tol: float):

@@ -111,6 +111,16 @@ SEEDED_ARTIFACTS = {
         "outliers.txt":
             "6f5f0b936a61760db71ec96f6ebc1d51bcbb35538d59d569a6ae1d99b4634839",
     },
+    ("outliers", "--classes", "1,2,3,1,2,3,1,1,2,1,3", "--replicates", "20"): {
+        "calibration.json":
+            "25be5413d5f3e7e10b45e229474b7558ee5586ade404a4aa881aac45f33af042",
+        "outliers.csv":
+            "066085fa229e4a03221b53fbbc845a8bdf229a42fe8e04747c69b61e4c822089",
+        "outliers.json":
+            "61e112029e5cf265ed59c975aa11736af75f4ba8e64a180fb9c3cd5764803357",
+        "outliers.txt":
+            "f540d3b34ddf8bfd1a8328be3d8f53a41da0346742dfb860ae57b91f6fb3ff56",
+    },
 }
 
 
@@ -175,6 +185,25 @@ class TestOutliersCommand:
         assert run("outliers", "--input", f, "--replicates", "4", "--output-dir", out) == 0
         quantiles = json.loads((out / "calibration.json").read_text())["per_replicate_quantiles"]
         assert max(quantiles) - min(quantiles) > 0.01 * min(quantiles)
+
+    @pytest.mark.parametrize("values, message", [
+        # one value near the float64 limit: its squared gap to every other curve overflows
+        ([[1, 2, 1, 3], [2, 3, 2, 4], [3, 4, 3, 5], [4, 5, 4, 6], [5, 6, 1e300, 7]],
+         "column distances overflow"),
+        # four identical columns and one shifted: the median border distance is 0
+        (np.arange(1.0, 7.0)[:, None] + [0, 0, 0, 0, 1], "the fence has no scale"),
+    ], ids=["distance-overflow", "zero-fence-scale"])
+    def test_a_screen_error_ends_the_run_before_calibration(self, tmp_path, monkeypatch, capsys,
+                                                             values, message):
+        calls = []
+        monkeypatch.setattr(cli, "calibrate_g", lambda **kwargs: calls.append(kwargs))
+        f = tmp_path / "m.csv"
+        np.savetxt(f, np.asarray(values, dtype=float), fmt="%.17g", delimiter=",")
+        out = tmp_path / "out"
+        assert run("outliers", "--input", f, "--prenorm", "none", "--output-dir", out) == 1
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "calibration.json").exists()
 
     def test_degenerate_covariance_is_a_data_error(self, matrix_file, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "robust_covariance", lambda m: np.zeros((m.n_samples,) * 2))

@@ -1,7 +1,9 @@
 """Traced peak memory of the data path at a fixed size, in matrix copies.
 
 The matrix is 20,000 x 24, so one float64 copy is 3.84 MB.  Each bound
-counts what a call allocates beyond its input, its result included.
+counts what a call allocates beyond its input, its result included; the
+``outliers`` bound counts what the command still holds when calibration
+starts.
 """
 
 import tracemalloc
@@ -9,7 +11,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from depthnorm import ExpressionMatrix, column_sort, normalize_pipeline, peel_borders, save_matrix
+from depthnorm import (
+    ExpressionMatrix,
+    TukeyCalibration,
+    column_sort,
+    normalize_pipeline,
+    peel_borders,
+    robust_covariance,
+    save_matrix,
+)
+from depthnorm import cli
 
 G, N = 20_000, 24
 COPY = G * N * 8
@@ -64,3 +75,29 @@ def test_save_matrix_of_narrow_quantile_output(tmp_path):
     narrow = ExpressionMatrix(np.random.default_rng(12).lognormal(6.0, 1.2, size=(G * N // 3, 3)))
     out = normalize_pipeline(narrow).matrix
     assert traced_peak(save_matrix, out, tmp_path / "m.csv") < 5.5
+
+
+def test_robust_covariance(matrix):
+    # the ranks, written in place and reduced in place, plus one column's temporaries
+    assert traced_peak(robust_covariance, matrix) < 1.25
+
+
+def test_outliers_holds_no_input_copy_while_it_calibrates(matrix, tmp_path, monkeypatch):
+    # the screens hold all the fence needs, so the matrix is freed before calibration
+    save_matrix(matrix, tmp_path / "m.csv")
+    held = []
+
+    def calibrate(**kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return TukeyCalibration.fixed(1.5)
+
+    monkeypatch.setattr(cli, "calibrate_g", calibrate)
+    argv = ["outliers", "--input", str(tmp_path / "m.csv"), "--output-dir", str(tmp_path / "out")]
+    # the first run imports what the command loads on first use
+    assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracemalloc.stop()
+    assert held[1] / COPY < 0.5

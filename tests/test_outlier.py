@@ -25,6 +25,7 @@ from depthnorm import (
     peel_borders,
     robust_covariance,
     robust_iqr,
+    screen_outliers,
 )
 from depthnorm.outlier import (
     _normal_factor,
@@ -36,7 +37,12 @@ from depthnorm.outlier import (
     save_report_csv,
 )
 
-from oracles import hinge_iqr, replicate_quantile_oracle, tukey_fence_flags_extremes
+from oracles import (
+    hinge_iqr,
+    replicate_quantile_oracle,
+    robust_covariance_oracle,
+    tukey_fence_flags_extremes,
+)
 
 TEN_POINT_SAMPLE = [1.3, 2.1, 2.8, 2.9, 3.2, 3.9, 4.1, 4.8, 4.9, 5.3]
 
@@ -238,6 +244,34 @@ class TestRobustCovariance:
         w = np.linalg.eigvalsh(robust_covariance(m))
         assert w.min() >= -1e-10
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        g=st.integers(3, 300),
+        n=st.integers(2, 9),
+        levels=st.sampled_from([3, 8, 40, None]),
+        duplicate=st.booleans(),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_whole_matrix_formula_bit_for_bit(self, g, n, levels, duplicate,
+                                                          fortran, seed):
+        # few levels give long tie runs; a duplicate column gives a correlation of one
+        rng = np.random.default_rng(seed)
+        if levels is None:
+            vals = rng.lognormal(size=(g, n))
+        else:
+            vals = rng.integers(0, levels, size=(g, n)) + rng.uniform(1.0, 2.0, size=n)
+        if duplicate:
+            vals[:, -1] = vals[:, 0]
+        if fortran:
+            vals = np.asfortranarray(vals)
+        if (np.median(np.abs(vals - np.median(vals, axis=0)), axis=0) == 0).any():
+            with pytest.raises(DegenerateScaleError, match="zero MAD"):
+                robust_covariance(ExpressionMatrix(vals))
+            return
+        expected = _psd_repair(robust_covariance_oracle(vals))
+        assert robust_covariance(ExpressionMatrix(vals)).tobytes() == expected.tobytes()
+
     def test_tied_ranks_match_scipy_rankdata_bit_for_bit(self):
         rng = np.random.default_rng(6)
         vals = rng.integers(0, 7, size=(60, 5)).astype(float) + rng.uniform(size=5)
@@ -325,6 +359,18 @@ class TestDetectOutliers:
         assert all(r.g_factor == 1.2 for r in reports)
         class2 = reports[2]
         assert "8" in class2.flagged_samples
+
+    def test_one_screen_serves_every_multiplier(self):
+        rng = np.random.default_rng(15)
+        m = ExpressionMatrix(rng.normal(size=(30, 9)) * rng.uniform(0.5, 3.0, size=9))
+        labels = ClassPartition((1, 2) * 4 + (1,))
+        screens = screen_outliers(m, labels)
+        # sample ids and distances only: nothing that holds the matrix
+        assert not any(isinstance(v, np.ndarray) for s in screens for v in vars(s).values())
+        for g in (0.5, 1.0, 1.5, 3.0):
+            for flag_both in (False, True):
+                assert [s.report(g, flag_both) for s in screens] == detect_outliers(
+                    m, TukeyCalibration.fixed(g), labels, flag_both)
 
     @pytest.mark.parametrize("labels, scope", [(None, "global"), ((2,) * 5 + (1, 1), "class 2")])
     def test_zero_fence_scale_names_the_scope(self, labels, scope):
