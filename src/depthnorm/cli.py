@@ -201,17 +201,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_normalize(args) -> int:
     m = _load(args)
     out = _outdir(args)
-    prenorm = None if args.prenorm == "none" else args.prenorm
+    if args.boxplot_svg:
+        (out / "boxplot_before.svg").write_text(boxplot_svg(m, title="before normalization"))
+    # the pipeline needs only the prenormalized columns: rebinding frees the input
+    # before they are sorted, and the del frees them before the writes
+    if args.prenorm != "none":
+        m = linear_prenormalize(m, args.prenorm)
     grid = QuantileGrid.uniform(args.grid_size) if args.mode == "subset" else None
     res = normalize_pipeline(
         m,
-        prenorm_anchor=prenorm,
+        prenorm_anchor=None,
         reference=args.reference.replace("-", "_"),
         grid=grid,
     )
-    if args.boxplot_svg:
-        (out / "boxplot_before.svg").write_text(boxplot_svg(m, title="before normalization"))
-    # the writes need only the result: free the input first
     del m
     save_matrix(res.matrix, out / "normalized.csv")
     save_reference_csv(res.reference, out / "reference.csv")

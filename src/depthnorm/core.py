@@ -325,39 +325,42 @@ _WRITE_CELLS = 1 << 16
 
 
 def _text_table(values: np.ndarray):
-    """(repr of each distinct value, each cell's index into them in C order).
+    """(repr of each distinct value, the distinct values' bits ascending).
 
     Values are told apart by bit pattern, so ``-0.0`` stays apart from
-    ``0.0``.  One argsort ranks the bits and a cumulative sum over the
-    changes between neighbours gives each cell its distinct value's index.
-    The ranking is freed before the texts are made, a block at a time.
+    ``0.0``.  One sort of the cells' bits gives the distinct values; the
+    sorted copy is freed before the texts are made, a block at a time.
     (None, None) when there are more distinct values than half the cells:
     the table's strings, about 80 bytes per distinct value, would then
     hold over six matrix copies, and formatting each block's cells
     directly is about as fast (``save_matrix_branches`` in BENCH_16.json
     times both ways).
     """
-    bits = values.view(np.int64).ravel()
-    order = np.argsort(bits)
-    ranked = bits[order]
+    ranked = np.sort(values.view(np.int64), axis=None)
     new = np.not_equal(ranked[1:], ranked[:-1])
     count = 1 + int(np.count_nonzero(new))
-    if 2 * count > bits.size:
+    if 2 * count > ranked.size:
         return None, None
-    distinct = ranked[np.concatenate(([True], new))].view(np.float64)
-    del ranked
-    # the cells after the first in rank order, each as its distinct value's index
-    rank = new.astype(np.int32 if count <= 2**31 else np.intp)
-    del new
-    np.cumsum(rank, out=rank)
-    index = np.empty_like(rank, shape=bits.size)
-    index[order[0]] = 0
-    index[order[1:]] = rank
-    del order, rank
+    distinct = np.concatenate((ranked[:1], ranked[1:][new]))
+    del ranked, new
+    floats = distinct.view(np.float64)
     texts = np.empty(count, dtype=object)
     for at in range(0, count, _WRITE_CELLS):
-        texts[at:at + _WRITE_CELLS] = [repr(v) for v in distinct[at:at + _WRITE_CELLS].tolist()]
-    return texts, index
+        texts[at:at + _WRITE_CELLS] = [repr(v) for v in floats[at:at + _WRITE_CELLS].tolist()]
+    return texts, distinct
+
+
+def _table_index(block: np.ndarray, distinct: np.ndarray) -> np.ndarray:
+    """Each cell of ``block`` in C order as its index into the ascending bits ``distinct``.
+
+    The block's bits are sorted before the search, which keeps
+    ``searchsorted`` fast, and the positions are scattered back.
+    """
+    bits = np.ascontiguousarray(block).view(np.int64).ravel()
+    order = np.argsort(bits)
+    index = np.empty_like(order)
+    index[order] = np.searchsorted(distinct, bits[order])
+    return index
 
 
 def save_matrix(m: ExpressionMatrix, path, fmt: Optional[str] = None) -> None:
@@ -370,13 +373,12 @@ def save_matrix(m: ExpressionMatrix, path, fmt: Optional[str] = None) -> None:
     ``_WRITE_CELLS`` cells at a time.  When a distinct value fills two
     cells or more on average, as in a quantile-normalized matrix (at most
     one value per row, so even at two columns), each distinct value is
-    formatted once into a table that every block reads; otherwise each
-    block formats its own cells and no table is built.  Beyond the
-    matrix, the peak is the ranking of the cells' bits, about two more
-    matrix-sized arrays for a moment, or the table when it is larger:
-    about 80 bytes per distinct value, which puts the peak near seven
-    matrix copies for a two-column quantile-normalized matrix and near
-    two and a third from 12 columns up.
+    formatted once into a table, and each block looks its cells up in it;
+    otherwise each block formats its own cells and no table is built.
+    Beyond the matrix, the peak is one sorted copy of the cells' bits, for
+    a moment, or the table when it is larger: about 80 bytes per distinct
+    value, which puts the peak near six matrix copies for a two-column
+    quantile-normalized matrix and under one from 12 columns up.
     """
     for s in m.sample_ids:
         if len(s) > csv.field_size_limit():
@@ -384,7 +386,7 @@ def save_matrix(m: ExpressionMatrix, path, fmt: Optional[str] = None) -> None:
     delimiter = _delimiter(path, fmt)
     values = m.values
     g, n = values.shape
-    texts, index = _text_table(values)
+    texts, distinct = _text_table(values)
     step = max(1, _WRITE_CELLS // n)
     with open(path, "w", newline="") as fh:
         if m.sample_ids != default_sample_ids(n):
@@ -392,10 +394,11 @@ def save_matrix(m: ExpressionMatrix, path, fmt: Optional[str] = None) -> None:
         # the repr of a finite float holds no delimiter, quote or line break,
         # so csv would have written every data cell unquoted
         for at in range(0, g, step):
+            block = values[at:at + step]
             if texts is None:
-                rows = (map(repr, row) for row in values[at:at + step].tolist())
+                rows = (map(repr, row) for row in block.tolist())
             else:
-                rows = texts[index[at * n:(at + step) * n]].reshape(-1, n).tolist()
+                rows = texts[_table_index(block, distinct)].reshape(-1, n).tolist()
             fh.writelines(delimiter.join(row) + LINE_END for row in rows)
 
 

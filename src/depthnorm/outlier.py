@@ -37,9 +37,8 @@ from .depth import (
     Border,
     BorderSequence,
     DistanceMatrix,
-    deepest_curve,
     extract_borders,
-    peel_borders,
+    pairwise_distances,
 )
 from .normalize import rank_map_into
 
@@ -365,22 +364,29 @@ class ScopeScreen:
         )
 
 
-def _screen_scope(sub: ExpressionMatrix, scope: str) -> ScopeScreen:
-    """The screen on the sorted curves ``sub`` of one scope."""
-    ids = sub.sample_ids
-    bs = peel_borders(sub)
+def _screen_scope(
+    curves: ExpressionMatrix, scope: str, columns: Optional[np.ndarray] = None
+) -> ScopeScreen:
+    """The screen of one scope on the sorted ``curves``: all columns, or the ``columns`` given.
+
+    A class's columns are read in place from the curves, not copied out.
+    """
+    cols = range(curves.n_samples) if columns is None else columns
+    ids = tuple(curves.sample_ids[j] for j in cols)
+    bs = extract_borders(pairwise_distances(curves, columns))
     iqr = robust_iqr(bs)
     # a zero scale would flag every pair that is apart at all
     if iqr == 0.0 and bs.borders[0].distance > 0.0:
         raise DegenerateScaleError(f"{scope}: median border distance is 0; the fence has no scale")
-    deep_curve = deepest_curve(sub, bs).values
+    # deepest_curve of the scope: the mean of its deepest members, as columns of the curves
+    deep_curve = curves.values[:, [cols[j] for j in bs.deepest_members]].mean(axis=1)
     farther = []
     for border in bs.borders:
         if len(border.members) < 2:
             break
         a, b = border.members
-        da = np.linalg.norm(sub.values[:, a] - deep_curve)
-        db = np.linalg.norm(sub.values[:, b] - deep_curve)
+        da = np.linalg.norm(curves.values[:, cols[a]] - deep_curve)
+        db = np.linalg.norm(curves.values[:, cols[b]] - deep_curve)
         farther.append(ids[b] if db > da else ids[a])
     return ScopeScreen(
         scope=scope,
@@ -399,7 +405,9 @@ def screen_outliers(
     The screens hold no matrix-sized data, so a caller may drop ``m``
     before the fence multiplier is calibrated and apply it after with
     :meth:`ScopeScreen.report`.  Raises here, before any calibration,
-    when the distances overflow or a scope's fence has no scale.
+    when the distances overflow or a scope's fence has no scale.  Beyond
+    ``m``, one matrix-sized array is alive: the sorted curves, which
+    every scope reads in place.
     """
     if labels is not None and len(labels.labels) != m.n_samples:
         raise PartitionError(f"{len(labels.labels)} class labels for {m.n_samples} columns")
@@ -407,10 +415,7 @@ def screen_outliers(
     screens = [_screen_scope(curves, "global")]
     if labels is not None:
         for k in range(1, labels.class_count + 1):
-            cols = labels.members(k)
-            # rows of the curves' n x G layout, so the class keeps that layout
-            sub = ExpressionMatrix(curves.values.T[cols].T, tuple(curves.sample_ids[j] for j in cols))
-            screens.append(_screen_scope(sub, f"class {k}"))
+            screens.append(_screen_scope(curves, f"class {k}", labels.members(k)))
     return screens
 
 

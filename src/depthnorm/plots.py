@@ -15,7 +15,10 @@ from .core import ExpressionMatrix, log1_transform
 def five_number_summaries(m: ExpressionMatrix) -> np.ndarray:
     """5 x n array of min/q1/median/q3/max of log(x+1) per column."""
     logged = log1_transform(m).values
-    return np.quantile(logged, [0.0, 0.25, 0.5, 0.75, 1.0], axis=0)
+    # column by column: along axis 0, np.quantile partitions a copy of the whole
+    # matrix, and one column at a time gives the same bits
+    levels = [0.0, 0.25, 0.5, 0.75, 1.0]
+    return np.array([np.quantile(col, levels) for col in logged.T]).T
 
 
 def boxplot_svg(m: ExpressionMatrix, title: str = "", width: int = 640, height: int = 400) -> str:

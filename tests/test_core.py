@@ -32,6 +32,7 @@ from depthnorm import (
     save_matrix,
 )
 from depthnorm import core
+from depthnorm.plots import five_number_summaries
 
 from oracles import load_matrix_oracle, save_matrix_one_shot_oracle, save_matrix_oracle
 
@@ -368,6 +369,18 @@ class TestBlockedSaveMatrix:
         _assert_saves_like_one_shot(m, tmp_path, suffix)
 
 
+    def test_values_recurring_across_blocks_between_both_branches(self, tmp_path, monkeypatch):
+        # every block of two rows looks up the same few table entries; an all-distinct
+        # save between two table saves formats its own cells and leaves nothing behind
+        monkeypatch.setattr(core, "_WRITE_CELLS", 8)
+        rng = np.random.default_rng(5)
+        pool = np.array([-0.0, 0.0, 5e-324, 0.1, -2.5, 1.7976931348623157e308])
+        repeated = ExpressionMatrix(rng.choice(pool, size=(60, 4)), ("a", "b", "c", "d"))
+        distinct = ExpressionMatrix(rng.standard_normal((30, 4)))
+        for m, table in ((repeated, True), (distinct, False), (repeated, True)):
+            assert (core._text_table(m.values)[0] is None) == (not table)
+            _assert_saves_like_one_shot(m, tmp_path, ".csv")
+
     @pytest.mark.parametrize("n", [2, 3, 24])
     def test_quantile_output_formats_each_distinct_value_once(self, tmp_path, monkeypatch, n):
         # at most one distinct value per row: even two columns take the table
@@ -578,6 +591,19 @@ class TestLinearPrenormalize:
         assert (core._anchor_stat(values, "q75").tobytes()
                 == np.quantile(values, 0.75, axis=0).tobytes())
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), g=st.integers(1, 41), layout=st.sampled_from(sorted(LAYOUTS)))
+def test_boxplot_summaries_by_column_keep_the_bits_along_axis_0(data, g, layout):
+    # log(x + 1) of non-negative values with ties, zeros and subnormals
+    n = data.draw(st.integers(2, 5))
+    pool = data.draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1.0 + 2**-52])
+                              | st.floats(0.0, 1e300), min_size=1, max_size=g * n))
+    cells = data.draw(st.lists(st.sampled_from(pool), min_size=g * n, max_size=g * n))
+    m = ExpressionMatrix(LAYOUTS[layout](np.array(cells, dtype=np.float64).reshape(g, n)))
+    want = np.quantile(np.log1p(m.values), [0.0, 0.25, 0.5, 0.75, 1.0], axis=0)
+    assert five_number_summaries(m).tobytes() == want.tobytes()
 
 class TestClassPartition:
     def test_accepts_valid_labels(self):

@@ -2,8 +2,8 @@
 
 The matrix is 20,000 x 24, so one float64 copy is 3.84 MB.  Each bound
 counts what a call allocates beyond its input, its result included; the
-``outliers`` bound counts what the command still holds when calibration
-starts.
+``normalize`` bound counts the whole command, its parse included, and the
+``outliers`` bound what the command still holds when calibration starts.
 """
 
 import tracemalloc
@@ -15,10 +15,12 @@ from depthnorm import (
     ExpressionMatrix,
     TukeyCalibration,
     column_sort,
+    ClassPartition,
     normalize_pipeline,
     peel_borders,
     robust_covariance,
     save_matrix,
+    screen_outliers,
 )
 from depthnorm import cli
 
@@ -45,15 +47,22 @@ def traced_peak(call, *args, **kwargs) -> float:
 
 
 def test_save_matrix_of_quantile_output(matrix, tmp_path):
-    # about one distinct value per row: the ranking of the cells' bits, then one
-    # table of texts and each cell's int32 index into it
+    # about one distinct value per row: one sorted copy of the cells' bits, then the
+    # table of texts and one block's indices into it at a time
     out = normalize_pipeline(matrix).matrix
-    assert traced_peak(save_matrix, out, tmp_path / "m.csv") < 3.0
+    assert traced_peak(save_matrix, out, tmp_path / "m.csv") < 1.5
+
+
+def test_save_matrix_of_f_ordered_quantile_output(matrix, tmp_path):
+    # each block is made contiguous on its own, not the whole matrix
+    out = normalize_pipeline(matrix).matrix
+    out = out.with_values(np.asfortranarray(out.values))
+    assert traced_peak(save_matrix, out, tmp_path / "m.csv") < 1.5
 
 
 def test_save_matrix_of_all_distinct_values(matrix, tmp_path):
-    # the ranking of the cells' bits, then one block of cells at a time
-    assert traced_peak(save_matrix, matrix, tmp_path / "m.csv") < 3.0
+    # one sorted copy of the cells' bits, then one block of cells at a time
+    assert traced_peak(save_matrix, matrix, tmp_path / "m.csv") < 1.5
 
 
 def test_peel_borders_of_sorted_curves(matrix):
@@ -71,10 +80,27 @@ def test_normalize_pipeline(matrix, reference, bound):
 
 def test_save_matrix_of_narrow_quantile_output(tmp_path):
     # three columns: each distinct value fills three cells, so the table is built,
-    # and its strings (about 80 bytes each) outweigh the ranking of the bits
+    # and its strings (about 80 bytes each) outweigh the sorted bits
     narrow = ExpressionMatrix(np.random.default_rng(12).lognormal(6.0, 1.2, size=(G * N // 3, 3)))
     out = normalize_pipeline(narrow).matrix
-    assert traced_peak(save_matrix, out, tmp_path / "m.csv") < 5.5
+    assert traced_peak(save_matrix, out, tmp_path / "m.csv") < 4.7
+
+
+@pytest.mark.parametrize("plots", [[], ["--boxplot-svg"]])
+def test_normalize_command(matrix, tmp_path, plots):
+    # the parse, then the prenormalized columns with their sorted curves or the
+    # output, then the output with its sorted bits: the input is freed once
+    # prenormalized, and the prenormalized columns before the write.  The box
+    # plots add one logged copy and one column's quantile temporaries.
+    save_matrix(matrix, tmp_path / "m.csv")
+    argv = ["normalize", "--input", str(tmp_path / "m.csv"), "--output-dir", str(tmp_path / "out")]
+    assert traced_peak(cli.main, argv + plots) < 2.5
+
+
+def test_screen_outliers_with_two_classes(matrix):
+    # the sorted curves, which every scope reads in place
+    labels = ClassPartition((1, 2) * (N // 2))
+    assert traced_peak(screen_outliers, matrix, labels) < 1.3
 
 
 def test_robust_covariance(matrix):

@@ -372,6 +372,24 @@ class TestDetectOutliers:
                 assert [s.report(g, flag_both) for s in screens] == detect_outliers(
                     m, TukeyCalibration.fixed(g), labels, flag_both)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 13), g=st.integers(3, 300),
+           data=st.data())
+    def test_class_screens_are_the_screens_of_the_class_columns(self, seed, n, g, data):
+        # each class is read from rows of the shared curves, not copied out of them
+        rng = np.random.default_rng(seed)
+        vals = rng.lognormal(1.0, 1.0, size=(g, n)) * rng.uniform(0.5, 3.0, size=n)
+        ids = tuple(f"s{j}" for j in range(n))
+        labels = ClassPartition(data.draw(
+            st.permutations((1, 1, 2, 2) + tuple(rng.integers(1, 3, size=n - 4)))))
+        screens = screen_outliers(ExpressionMatrix(vals, ids), labels)
+        for k, screen in enumerate(screens[1:], start=1):
+            cols = labels.members(k)
+            (alone,) = screen_outliers(ExpressionMatrix(vals[:, cols], tuple(ids[j] for j in cols)))
+            assert (screen.scope, screen.pairs, screen.farther) == (f"class {k}", alone.pairs,
+                                                                     alone.farther)
+            assert screen.iqr_estimate == alone.iqr_estimate
+
     @pytest.mark.parametrize("labels, scope", [(None, "global"), ((2,) * 5 + (1, 1), "class 2")])
     def test_zero_fence_scale_names_the_scope(self, labels, scope):
         # four identical columns and one shifted by +1: the median border distance is 0
