@@ -10,6 +10,7 @@ from .core import (
     ExpressionMatrix,
     ParseError,
     PartitionError,
+    ReferenceCurve,
     column_sort,
     component_wise_median,
     filter_zero_rows,
@@ -31,7 +32,6 @@ from .depth import (
 from .normalize import (
     PipelineResult,
     QuantileGrid,
-    ReferenceCurve,
     normalize_pipeline,
     quantile_normalize_full,
     quantile_normalize_subset,

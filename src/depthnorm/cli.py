@@ -208,12 +208,7 @@ def _cmd_normalize(args) -> int:
     if args.prenorm != "none":
         m = linear_prenormalize(m, args.prenorm)
     grid = QuantileGrid.uniform(args.grid_size) if args.mode == "subset" else None
-    res = normalize_pipeline(
-        m,
-        prenorm_anchor=None,
-        reference=args.reference.replace("-", "_"),
-        grid=grid,
-    )
+    res = normalize_pipeline(m, reference=args.reference.replace("-", "_"), grid=grid)
     del m
     save_matrix(res.matrix, out / "normalized.csv")
     save_reference_csv(res.reference, out / "reference.csv")

@@ -11,7 +11,7 @@ import csv
 import io
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Optional
@@ -102,19 +102,44 @@ class ExpressionMatrix:
         return ExpressionMatrix(values, self.sample_ids)
 
 
+@dataclass(frozen=True, eq=False)
+class ReferenceCurve:
+    """Length-G target vector the columns are mapped onto.
+
+    References used for quantile mapping must be non-decreasing (sorted
+    construction guarantees it); the component-wise median of an unsorted
+    matrix is a valid curve object but is rejected at mapping time.
+    """
+
+    values: np.ndarray
+    source_tag: str = "component_median"
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=np.float64)
+        if v.ndim != 1:
+            raise DimensionError("reference curve must be 1-D")
+        if not np.isfinite(v).all():
+            raise DomainError("non-finite reference value")
+        object.__setattr__(self, "values", v)
+
+    @property
+    def is_non_decreasing(self) -> bool:
+        return bool((np.diff(self.values) >= 0).all())
+
+
 @dataclass(frozen=True)
 class ClassPartition:
     """1-based class labels for the n columns; every class has >= 2 members."""
 
     labels: tuple[int, ...]
-    class_count: int = 0
+    class_count: int = field(init=False)  # the largest label
 
     def __post_init__(self):
         labels = tuple(int(x) for x in self.labels)
-        count = self.class_count or (max(labels) if labels else 0)
         if not labels:
             raise PartitionError("empty class partition")
-        if any(k < 1 or k > count for k in labels):
+        count = max(labels)
+        if min(labels) < 1:
             raise PartitionError(f"labels must lie in [1, {count}]")
         sizes = Counter(labels)
         for k in range(1, count + 1):
@@ -363,9 +388,10 @@ def _table_index(block: np.ndarray, distinct: np.ndarray) -> np.ndarray:
     return index
 
 
-def save_matrix(m: ExpressionMatrix, path, fmt: Optional[str] = None) -> None:
+def save_matrix(m: ExpressionMatrix, path) -> None:
     """Write a matrix that :func:`load_matrix` reads back exactly.
 
+    The path's suffix sets the delimiter, as for :func:`load_matrix`.
     Default sample ids ``1..n`` are not written; any others form a header
     row, quoted in full when an id reads as a number or has surrounding
     whitespace (see :func:`write_rows`).  A cell is its float's repr, as
@@ -383,7 +409,7 @@ def save_matrix(m: ExpressionMatrix, path, fmt: Optional[str] = None) -> None:
     for s in m.sample_ids:
         if len(s) > csv.field_size_limit():
             raise DataError(f"sample id {s[:20]!r}... is longer than a CSV field can hold")
-    delimiter = _delimiter(path, fmt)
+    delimiter = _delimiter(path, None)
     values = m.values
     g, n = values.shape
     texts, distinct = _text_table(values)
@@ -458,15 +484,13 @@ def column_sort(m: ExpressionMatrix) -> ExpressionMatrix:
     return m.with_values(curves.T)
 
 
-def component_wise_median(m: ExpressionMatrix):
+def component_wise_median(m: ExpressionMatrix) -> ReferenceCurve:
     """Vector of per-row medians; non-decreasing when the input is sorted.
 
     Note the result need not resemble any sample column and can even fall
     outside the convex hull of the columns, which is what motivates the
     depth-based reference.
     """
-    from .normalize import ReferenceCurve
-
     # across the rows of the transpose: on column_sort's layout np.median then
     # partitions one copy of the curves, where along axis 1 it takes two
     return ReferenceCurve(np.median(m.values.T, axis=0), source_tag="component_median")

@@ -16,7 +16,9 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .core import DataError, DimensionError, DomainError, ExpressionMatrix, write_rows
+from .core import (
+    DataError, DimensionError, DomainError, ExpressionMatrix, ReferenceCurve, write_rows,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +142,6 @@ def deepest_curve(m: ExpressionMatrix, borders: Optional[BorderSequence] = None)
     non-decreasing and a singleton deepest border gives that column (a
     -0.0 entry comes back as 0.0).
     """
-    from .normalize import ReferenceCurve
-
     if borders is None:
         borders = peel_borders(m)
     members = borders.deepest_members

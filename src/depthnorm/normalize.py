@@ -12,37 +12,12 @@ from .core import (
     DimensionError,
     DomainError,
     ExpressionMatrix,
+    ReferenceCurve,
     column_sort,
     component_wise_median,
-    linear_prenormalize,
     write_rows,
 )
 from .depth import BorderSequence, deepest_curve, peel_borders
-
-
-@dataclass(frozen=True, eq=False)
-class ReferenceCurve:
-    """Length-G target vector the columns are mapped onto.
-
-    References used for quantile mapping must be non-decreasing (sorted
-    construction guarantees it); the component-wise median of an unsorted
-    matrix is a valid curve object but is rejected at mapping time.
-    """
-
-    values: np.ndarray
-    source_tag: str = "component_median"
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise DimensionError("reference curve must be 1-D")
-        if not np.isfinite(v).all():
-            raise DomainError("non-finite reference value")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def is_non_decreasing(self) -> bool:
-        return bool((np.diff(self.values) >= 0).all())
 
 
 @dataclass(frozen=True)
@@ -170,27 +145,23 @@ class PipelineResult(NamedTuple):
 
 
 def normalize_pipeline(
-    m: ExpressionMatrix,
-    prenorm_anchor: Optional[str] = "median",
-    reference: str = "deepest",
-    grid: Optional[QuantileGrid] = None,
+    m: ExpressionMatrix, reference: str = "deepest", grid: Optional[QuantileGrid] = None
 ) -> PipelineResult:
-    """Scale columns, build the reference from the sorted columns, map.
+    """Build the reference from the sorted columns of ``m`` and map the columns onto it.
 
-    The optional linear prenormalization (median anchor by default) is
-    applied before depth computation and the quantile map is applied to
-    the prenormalized, unsorted columns; the output keeps the original
-    row order.  ``reference`` selects the component-wise median of the
-    sorted columns or the deepest sorted column.  With a ``grid`` the
-    columns are interpolated between its quantile knots; without one they
-    take the reference value at each rank.
+    ``m`` is mapped as given: a caller that wants the paper's first step,
+    the linear rescaling of each column, applies
+    :func:`~depthnorm.core.linear_prenormalize` first.  The output keeps
+    the row order of ``m``.  ``reference`` selects the component-wise
+    median of the sorted columns or the deepest sorted column.  With a
+    ``grid`` the columns are interpolated between its quantile knots;
+    without one they take the reference value at each rank.
 
-    Memory: besides ``m``, at most two matrix-sized arrays are alive at
-    once: the prenormalized columns and either their sorted curves or the
-    mapped output.
+    Memory: besides ``m``, one matrix-sized array is alive at a time, the
+    sorted curves or the output (the component-wise median partitions one
+    more copy of the curves for a moment).
     """
-    work = linear_prenormalize(m, prenorm_anchor) if prenorm_anchor else m
-    curves = column_sort(work)
+    curves = column_sort(m)
     borders = None
     if reference == "component_median":
         ref = component_wise_median(curves)
@@ -203,9 +174,9 @@ def normalize_pipeline(
     # allocates its output
     del curves
     if grid is None:
-        mapped = quantile_normalize_full(work, ref)
+        mapped = quantile_normalize_full(m, ref)
     else:
-        mapped = quantile_normalize_subset(work, ref, grid)
+        mapped = quantile_normalize_subset(m, ref, grid)
     return PipelineResult(mapped, ref, borders)
 
 

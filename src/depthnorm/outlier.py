@@ -531,6 +531,11 @@ def _csv_payload(rows: list[list[str]]) -> list[dict]:
 
 def _report_from_payload(d: dict) -> OutlierReport:
     pairs = tuple(Border(tuple(p["members"]), float(p["distance"])) for p in d["pairs"])
+    if not pairs:
+        raise ValueError(f"scope {d['scope']!r} has no pairs")
+    for b in pairs:
+        if len(b.members) not in (1, 2) or not all(isinstance(s, str) for s in b.members):
+            raise ValueError(f"members {list(b.members)!r} are not 1 or 2 sample ids")
     report = OutlierReport(
         scope=d["scope"],
         pairs=pairs,
@@ -551,13 +556,17 @@ def _report_from_payload(d: dict) -> OutlierReport:
 def load_reports(path) -> list[OutlierReport]:
     """Read ``outliers.json`` or ``outliers.csv`` back into reports.
 
-    A loaded report equals the report that was written.
+    A loaded report equals the report that was written.  A file without
+    reports, or a report without pairs of 1 or 2 ids, is a ParseError.
     """
     path = Path(path)
     is_json = path.suffix.lower() == ".json"
     data = read_text(path) if is_json else read_rows(path)
     try:
         payload = json.loads(data)["reports"] if is_json else _csv_payload(data)
-        return [_report_from_payload(d) for d in payload]
+        reports = [_report_from_payload(d) for d in payload]
+        if not reports:
+            raise ValueError("no reports")
+        return reports
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{path}: not an outlier report ({e!r})") from None

@@ -28,6 +28,11 @@ DEFAULT_POLISH_MAX_ITER = 20
 DEFAULT_POLISH_TOL = 0.01
 DEFAULT_BIWEIGHT_C = 5.0
 DEFAULT_BIWEIGHT_EPS = 1e-4
+DEFAULT_BIWEIGHT_MAX_ITER = 50
+DEFAULT_BIWEIGHT_TOL = 1e-9
+# c, eps, max_iter and tol, as the biweight kernels take them
+_BIWEIGHT = (DEFAULT_BIWEIGHT_C, DEFAULT_BIWEIGHT_EPS, DEFAULT_BIWEIGHT_MAX_ITER,
+             DEFAULT_BIWEIGHT_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,30 +111,21 @@ def median_polish(
     return MedianPolishFit(float(overall[0]), row[0], col[0], resid[0])
 
 
-def biweight_location(
-    values,
-    c: float = DEFAULT_BIWEIGHT_C,
-    eps: float = DEFAULT_BIWEIGHT_EPS,
-) -> float:
+def biweight_location(values) -> float:
     """Tukey biweight location: redescending weights (1-u^2)^2 for |u|<1.
 
     u = (x - t) / (c*MAD + eps) with the MAD held at its initial value;
-    the location iterates to |dt| <= 1e-9 or 50 rounds.  Zero MAD falls
-    back to the median.
+    the location iterates to |dt| <= ``DEFAULT_BIWEIGHT_TOL`` or
+    ``DEFAULT_BIWEIGHT_MAX_ITER`` rounds.  Zero MAD falls back to the median.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     if x.size == 0:
         raise DomainError("biweight location of an empty sample")
     require_finite(x[:, None])  # the sample as one column
-    return float(_kernels.biweight_series(x[None], c, eps, 50, 1e-9)[0])
+    return float(_kernels.biweight_series(x[None], *_BIWEIGHT)[0])
 
 
-def summarize_genes(
-    pm: ProbeMatrix,
-    method: str = "median_polish",
-    c: float = DEFAULT_BIWEIGHT_C,
-    eps: float = DEFAULT_BIWEIGHT_EPS,
-) -> ExpressionMatrix:
+def summarize_genes(pm: ProbeMatrix, method: str = "median_polish") -> ExpressionMatrix:
     """Collapse probe blocks to one row per gene (log-scale input expected).
 
     ``median_polish`` uses overall + column effects per block;
@@ -142,7 +138,7 @@ def summarize_genes(
             pm.values, starts, DEFAULT_POLISH_MAX_ITER, DEFAULT_POLISH_TOL
         )
     elif method == "biweight":
-        out = _kernels.biweight_summaries(pm.values, starts, c, eps, 50, 1e-9)
+        out = _kernels.biweight_summaries(pm.values, starts, *_BIWEIGHT)
     else:
         raise DomainError(f"unknown summarization method {method!r}")
     return ExpressionMatrix(out, pm.sample_ids)

@@ -11,6 +11,8 @@ import numpy as np
 
 from .core import ExpressionMatrix, log1_transform
 
+WIDTH, HEIGHT = 640, 400  # the canvas, in SVG user units
+
 
 def five_number_summaries(m: ExpressionMatrix) -> np.ndarray:
     """5 x n array of min/q1/median/q3/max of log(x+1) per column."""
@@ -21,7 +23,7 @@ def five_number_summaries(m: ExpressionMatrix) -> np.ndarray:
     return np.array([np.quantile(col, levels) for col in logged.T]).T
 
 
-def boxplot_svg(m: ExpressionMatrix, title: str = "", width: int = 640, height: int = 400) -> str:
+def boxplot_svg(m: ExpressionMatrix, title: str = "") -> str:
     summaries = five_number_summaries(m)
     n = m.n_samples
     lo = float(summaries.min())
@@ -33,8 +35,8 @@ def boxplot_svg(m: ExpressionMatrix, title: str = "", width: int = 640, height: 
     hi += pad
 
     margin_l, margin_r, margin_t, margin_b = 50, 15, 30, 40
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = WIDTH - margin_l - margin_r
+    plot_h = HEIGHT - margin_t - margin_b
 
     def y(v: float) -> float:
         return margin_t + plot_h * (hi - v) / (hi - lo)
@@ -43,13 +45,13 @@ def boxplot_svg(m: ExpressionMatrix, title: str = "", width: int = 640, height: 
     box_w = min(30.0, 0.6 * slot)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
+            f'<text x="{WIDTH / 2:.1f}" y="18" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13">{title}</text>'
         )
     # y axis with a handful of ticks
@@ -77,7 +79,7 @@ def boxplot_svg(m: ExpressionMatrix, title: str = "", width: int = 640, height: 
             f'height="{y(q1) - y(q3):.2f}" fill="#9ecae1" stroke="black"/>',
             f'<line x1="{x0:.2f}" y1="{y(med):.2f}" x2="{x1:.2f}" y2="{y(med):.2f}" '
             f'stroke="black" stroke-width="2"/>',
-            f'<text x="{cx:.2f}" y="{height - margin_b + 14}" text-anchor="middle" '
+            f'<text x="{cx:.2f}" y="{HEIGHT - margin_b + 14}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="10">{m.sample_ids[j]}</text>',
         ]
     parts.append("</svg>")

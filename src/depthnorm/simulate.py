@@ -183,16 +183,12 @@ class StudyReport:
         return "\n".join(out)
 
 
-def _prenormalized(cfg: SimulationConfig, dataset_seed: int):
-    """One dataset's median-prenormalized matrix, its probe-to-gene map and its truth."""
-    pm, truth = generate_dataset(cfg, dataset_seed)
-    m = linear_prenormalize(ExpressionMatrix(pm.values, pm.sample_ids), "median")
-    return m, pm.probe_to_gene, truth
-
-
 def _one_dataset(cfg: SimulationConfig, dataset_seed: int, methods: Sequence[str]) -> dict:
-    # both references map the same prenormalized matrix; the raw draws are gone by now
-    m, probe_to_gene, truth = _prenormalized(cfg, dataset_seed)
+    pm, truth = generate_dataset(cfg, dataset_seed)
+    # both references map the same prenormalized matrix; the raw draws go before them
+    m = linear_prenormalize(ExpressionMatrix(pm.values, pm.sample_ids), "median")
+    probe_to_gene = pm.probe_to_gene
+    del pm
     groups = ClassPartition(
         tuple([1] * (cfg.n_samples // 2) + [2] * (cfg.n_samples // 2))
     )
@@ -201,7 +197,7 @@ def _one_dataset(cfg: SimulationConfig, dataset_seed: int, methods: Sequence[str
     def run(reference: str, summaries: list[tuple[str, str]]):
         # one expression, so the normalized matrix is freed once its log2 copy exists
         logged = ProbeMatrix(
-            np.log2(normalize_pipeline(m, prenorm_anchor=None, reference=reference).matrix.values),
+            np.log2(normalize_pipeline(m, reference=reference).matrix.values),
             probe_to_gene, m.sample_ids,
         )
         for method_key, summarizer in summaries:

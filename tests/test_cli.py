@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -318,6 +319,21 @@ def test_startup_imports_no_scipy():
         assert out.stdout.strip() == "[]", module
 
 
+def test_the_only_function_level_import_is_scipy_special():
+    # function-level imports hide import cycles; the one allowed keeps scipy off startup
+    package = Path(__file__).resolve().parents[1] / "src" / "depthnorm"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.ImportFrom):
+                        found.append((path.name, fn.name, "." * node.level + (node.module or "")))
+                    elif isinstance(node, ast.Import):
+                        found += [(path.name, fn.name, a.name) for a in node.names]
+    assert found == [("pipeline.py", "two_sample_ttest", "scipy.special")]
+
+
 class TestSimulateCommand:
     def test_single_cell_run(self, tmp_path):
         out = tmp_path / "out"
@@ -399,6 +415,19 @@ class TestReportCommand:
         f = tmp_path / "outliers.json"
         f.write_text('{"reports": [{"scope": "global"}]}')
         assert run("report", "--input", f) == 1
+
+    @pytest.mark.parametrize("pairs", [None, [], [{"members": [], "distance": 1.0}],
+                                       [{"members": [1, 2], "distance": 1.0}]],
+                             ids=["no-reports", "no-pairs", "no-members", "int-members"])
+    def test_report_no_writer_makes_is_a_data_error(self, tmp_path, capsys, pairs):
+        report = {"scope": "global", "flagged_samples": [], "rule": "farther-from-deepest",
+                  "benchmark": 1.0, "iqr_estimate": 1.0, "tukey_constant": 1.0, "pairs": pairs}
+        f = tmp_path / "outliers.json"
+        f.write_text(json.dumps({"reports": [] if pairs is None else [report]}))
+        assert run("report", "--input", f) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("name, text", [
         ("outliers.csv", None),  # an outlier report read as a study report

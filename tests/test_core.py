@@ -385,7 +385,7 @@ class TestBlockedSaveMatrix:
     def test_quantile_output_formats_each_distinct_value_once(self, tmp_path, monkeypatch, n):
         # at most one distinct value per row: even two columns take the table
         values = np.random.default_rng(n).lognormal(6.0, 1.2, size=(300, n))
-        out = normalize_pipeline(ExpressionMatrix(values)).matrix
+        out = normalize_pipeline(linear_prenormalize(ExpressionMatrix(values), "median")).matrix
         formatted = []
         monkeypatch.setattr(core, "repr", lambda v: formatted.append(v) or float.__repr__(v),
                             raising=False)
@@ -617,7 +617,7 @@ class TestClassPartition:
 
     def test_out_of_range_label(self):
         with pytest.raises(PartitionError):
-            ClassPartition((0, 1, 1), class_count=1)
+            ClassPartition((0, 1, 1))
 
     def test_load_from_file_and_inline(self, tmp_path):
         f = tmp_path / "labels.txt"

@@ -16,6 +16,7 @@ from depthnorm import (
     TukeyCalibration,
     column_sort,
     ClassPartition,
+    linear_prenormalize,
     normalize_pipeline,
     peel_borders,
     robust_covariance,
@@ -34,6 +35,11 @@ def matrix():
     return ExpressionMatrix(np.random.default_rng(11).lognormal(6.0, 1.2, size=(G, N)))
 
 
+def quantile_output(m: ExpressionMatrix) -> ExpressionMatrix:
+    """``m`` as ``depthnorm normalize`` writes it with its default settings."""
+    return normalize_pipeline(linear_prenormalize(m, "median")).matrix
+
+
 def traced_peak(call, *args, **kwargs) -> float:
     """Peak traced bytes of the second of two calls, in matrix copies (the first warms caches)."""
     call(*args, **kwargs)
@@ -49,13 +55,13 @@ def traced_peak(call, *args, **kwargs) -> float:
 def test_save_matrix_of_quantile_output(matrix, tmp_path):
     # about one distinct value per row: one sorted copy of the cells' bits, then the
     # table of texts and one block's indices into it at a time
-    out = normalize_pipeline(matrix).matrix
+    out = quantile_output(matrix)
     assert traced_peak(save_matrix, out, tmp_path / "m.csv") < 1.5
 
 
 def test_save_matrix_of_f_ordered_quantile_output(matrix, tmp_path):
     # each block is made contiguous on its own, not the whole matrix
-    out = normalize_pipeline(matrix).matrix
+    out = quantile_output(matrix)
     out = out.with_values(np.asfortranarray(out.values))
     assert traced_peak(save_matrix, out, tmp_path / "m.csv") < 1.5
 
@@ -70,9 +76,10 @@ def test_peel_borders_of_sorted_curves(matrix):
     assert traced_peak(peel_borders, column_sort(matrix)) < 0.5
 
 
-@pytest.mark.parametrize("reference, bound", [("deepest", 3.0), ("component_median", 3.25)])
+@pytest.mark.parametrize("reference, bound", [("deepest", 1.5), ("component_median", 2.25)],
+                         ids=["deepest", "component_median"])
 def test_normalize_pipeline(matrix, reference, bound):
-    # the prenormalized columns and either their sorted curves or the output, plus
+    # the matrix is mapped as given: either its sorted curves or the output, plus
     # one column's temporaries (or, for the median reference, one partitioned copy
     # of the curves)
     assert traced_peak(normalize_pipeline, matrix, reference=reference) < bound
@@ -82,7 +89,7 @@ def test_save_matrix_of_narrow_quantile_output(tmp_path):
     # three columns: each distinct value fills three cells, so the table is built,
     # and its strings (about 80 bytes each) outweigh the sorted bits
     narrow = ExpressionMatrix(np.random.default_rng(12).lognormal(6.0, 1.2, size=(G * N // 3, 3)))
-    out = normalize_pipeline(narrow).matrix
+    out = quantile_output(narrow)
     assert traced_peak(save_matrix, out, tmp_path / "m.csv") < 4.7
 
 

@@ -202,19 +202,19 @@ class TestPipeline:
     def test_identical_columns_are_a_fixed_point(self):
         m = ExpressionMatrix(np.array([[4.0, 4.0], [1.0, 1.0], [6.0, 6.0]]))
         for reference in ("deepest", "component_median"):
-            res = normalize_pipeline(m, reference=reference)
+            res = normalize_pipeline(linear_prenormalize(m, "median"), reference=reference)
             assert np.allclose(res.matrix.values, m.values)
 
     def test_deepest_reference_on_scalar_toy(self):
         m = ExpressionMatrix(np.array([[0.0, 1.0, 10.0]]))
-        res = normalize_pipeline(m, prenorm_anchor=None, reference="deepest")
+        res = normalize_pipeline(m, reference="deepest")
         assert res.reference.values == pytest.approx([1.0])
         assert res.borders is not None
         assert res.borders.deepest_members == (1,)
 
     def test_component_median_full_mapping(self):
         m = ExpressionMatrix(np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]))
-        res = normalize_pipeline(m, prenorm_anchor=None, reference="component_median")
+        res = normalize_pipeline(m, reference="component_median")
         assert np.array_equal(res.reference.values, [5.5, 11.0, 16.5])
         assert np.array_equal(res.matrix.values[:, 0], [5.5, 11.0, 16.5])
         assert np.array_equal(res.matrix.values[:, 1], [5.5, 11.0, 16.5])
@@ -222,13 +222,13 @@ class TestPipeline:
 
     def test_prenormalized_variant_agrees_here(self):
         m = ExpressionMatrix(np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]))
-        res = normalize_pipeline(m, reference="component_median")
+        res = normalize_pipeline(linear_prenormalize(m, "median"), reference="component_median")
         assert np.allclose(res.matrix.values[:, 0], [5.5, 11.0, 16.5])
 
     def test_deepest_singleton_reference_is_a_sample_column(self):
         rng = np.random.default_rng(77)
         m = ExpressionMatrix(rng.uniform(1, 5, size=(15, 5)))  # odd n: singleton border
-        res = normalize_pipeline(m, reference="deepest")
+        res = normalize_pipeline(linear_prenormalize(m, "median"), reference="deepest")
         assert res.reference.source_tag == "deepest"
         sorted_input = column_sort(linear_prenormalize(m, "median")).values
         member = [
@@ -240,15 +240,17 @@ class TestPipeline:
         rng = np.random.default_rng(23)
         m = ExpressionMatrix(rng.uniform(1, 9, size=(40, 5)))
         grid = QuantileGrid.uniform(7)
-        res = normalize_pipeline(m, grid=grid)
-        want = quantile_normalize_subset(linear_prenormalize(m, "median"), res.reference, grid)
+        prenormalized = linear_prenormalize(m, "median")
+        res = normalize_pipeline(prenormalized, grid=grid)
+        want = quantile_normalize_subset(prenormalized, res.reference, grid)
         assert np.array_equal(res.matrix.values, want.values)
-        assert not np.array_equal(res.matrix.values, normalize_pipeline(m).matrix.values)
+        full = normalize_pipeline(prenormalized).matrix
+        assert not np.array_equal(res.matrix.values, full.values)
 
     def test_row_order_preserved(self):
         rng = np.random.default_rng(21)
         m = ExpressionMatrix(rng.uniform(1, 9, size=(12, 3)))
-        res = normalize_pipeline(m, reference="deepest")
+        res = normalize_pipeline(linear_prenormalize(m, "median"), reference="deepest")
         for j in range(3):
             assert np.array_equal(
                 np.argsort(res.matrix.values[:, j]), np.argsort(m.values[:, j])

@@ -578,6 +578,10 @@ class TestReportFiles:
         (lambda r: r.update(benchmark=r["benchmark"] * 2), "benchmark"),
         (lambda r: r.update(flagged_samples=["z"]), "in no pair"),
         (lambda r: r.update(rule="nearest"), "unknown rule"),
+        (lambda r: r.update(pairs=[]), "has no pairs"),
+        (lambda r: r["pairs"][0].update(members=[]), "are not 1 or 2 sample ids"),
+        (lambda r: r["pairs"][0].update(members=[1, 2]), "are not 1 or 2 sample ids"),
+        (lambda r: r["pairs"][0]["members"].append("z"), "are not 1 or 2 sample ids"),
     ])
     def test_json_that_contradicts_itself_is_a_parse_error(self, tmp_path, edit, message):
         payload = json.loads(reports_to_json(_report_with_ids(("a", "b", "c", "d"), SPREAD)))
@@ -585,3 +589,13 @@ class TestReportFiles:
         (tmp_path / "r.json").write_text(json.dumps(payload))
         with pytest.raises(ParseError, match=message):
             load_reports(tmp_path / "r.json")
+
+    @pytest.mark.parametrize("name, text", [
+        ("r.json", '{"reports": []}'),
+        ("r.csv", "scope,pair_index,member_1,member_2,distance_intra_pair,iqr_estimate,"
+                  "benchmark,tukey_constant,flagged,flagged_member,rule,member_count\r\n"),
+    ])
+    def test_a_file_without_reports_is_a_parse_error(self, tmp_path, name, text):
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ParseError, match="no reports"):
+            load_reports(tmp_path / name)

@@ -83,7 +83,7 @@ class TestBiweightLocation:
         assert biweight_location([1.0, 2.0, 3.0, 4.0, 5.0]) == pytest.approx(3.0)
 
     def test_downweights_gross_outlier(self):
-        t = biweight_location([1.0, 2.0, 3.0, 4.0, 100.0], c=5.0)
+        t = biweight_location([1.0, 2.0, 3.0, 4.0, 100.0])
         assert 2.0 < t < 4.0
 
     def test_stays_inside_the_range(self):

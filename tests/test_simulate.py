@@ -21,6 +21,7 @@ from depthnorm import (
     SimulationConfig,
     StudyReport,
     generate_dataset,
+    linear_prenormalize,
     normalize_pipeline,
     power_false_discovery,
     run_grid,
@@ -124,7 +125,7 @@ def one_dataset_prenormalizing_per_reference(cfg, dataset_seed):
         ("component_median", [(METHOD_RMA, "median_polish")]),
         ("deepest", [(METHOD_FDN_MP, "median_polish"), (METHOD_FDN_BW, "biweight")]),
     ):
-        res = normalize_pipeline(m, prenorm_anchor="median", reference=reference)
+        res = normalize_pipeline(linear_prenormalize(m, "median"), reference=reference)
         logged = ProbeMatrix(np.log2(res.matrix.values), pm.probe_to_gene, pm.sample_ids)
         for key, summarizer in methods:
             tr = two_sample_ttest(summarize_genes(logged, summarizer), groups, truth)
