@@ -31,7 +31,6 @@ from .depth import (
 )
 from .normalize import (
     PipelineResult,
-    QuantileGrid,
     normalize_pipeline,
     quantile_normalize_full,
     quantile_normalize_subset,

@@ -26,7 +26,7 @@ from .core import (
     save_matrix,
 )
 from .depth import peel_borders, save_depth_csv
-from .normalize import QuantileGrid, normalize_pipeline, save_reference_csv
+from .normalize import normalize_pipeline, save_reference_csv
 from .outlier import (
     TukeyCalibration,
     calibrate_g,
@@ -207,8 +207,8 @@ def _cmd_normalize(args) -> int:
     # before they are sorted, and the del frees them before the writes
     if args.prenorm != "none":
         m = linear_prenormalize(m, args.prenorm)
-    grid = QuantileGrid.uniform(args.grid_size) if args.mode == "subset" else None
-    res = normalize_pipeline(m, reference=args.reference.replace("-", "_"), grid=grid)
+    knots = args.grid_size if args.mode == "subset" else None
+    res = normalize_pipeline(m, reference=args.reference.replace("-", "_"), knots=knots)
     del m
     save_matrix(res.matrix, out / "normalized.csv")
     save_reference_csv(res.reference, out / "reference.csv")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -18,30 +17,6 @@ from .core import (
     write_rows,
 )
 from .depth import BorderSequence, deepest_curve, peel_borders
-
-
-@dataclass(frozen=True)
-class QuantileGrid:
-    """Strictly increasing probability levels including 0 and 1."""
-
-    levels: tuple[float, ...]
-
-    def __post_init__(self):
-        levels = tuple(float(p) for p in self.levels)
-        if len(levels) < 2:
-            raise DimensionError("grid needs at least the levels 0 and 1")
-        if levels[0] != 0.0 or levels[-1] != 1.0:
-            raise DomainError("grid must start at 0 and end at 1")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise DomainError("grid levels must be strictly increasing")
-        object.__setattr__(self, "levels", levels)
-
-    @classmethod
-    def uniform(cls, knots: int) -> "QuantileGrid":
-        """Evenly spaced grid with ``knots`` levels (>= 2)."""
-        if knots < 2:
-            raise DomainError("need at least 2 grid knots")
-        return cls(tuple(np.linspace(0.0, 1.0, knots)))
 
 
 def _check_ref(m: ExpressionMatrix, ref: ReferenceCurve) -> np.ndarray:
@@ -113,27 +88,24 @@ def _column_knots(col: np.ndarray, levels: np.ndarray, ref_q: np.ndarray):
     return xp, fp
 
 
-def quantile_normalize_subset(
-    m: ExpressionMatrix, ref: ReferenceCurve, grid: QuantileGrid
-) -> ExpressionMatrix:
-    """Map columns by linear interpolation between matched quantile knots.
+def quantile_normalize_subset(m: ExpressionMatrix, ref: ReferenceCurve, knots: int) -> ExpressionMatrix:
+    """Map columns by linear interpolation between ``knots`` matched quantile knots.
 
+    The knots sit at the evenly spaced levels ``np.linspace(0, 1, knots)``.
     Quantiles are evaluated with the linear order-statistic convention
-    (level p sits at position 1 + (G-1)p), so grid knots map exactly onto
-    the corresponding reference knots.
+    (level p sits at position 1 + (G-1)p), so column knots map exactly
+    onto the corresponding reference knots, and the knots at levels 0 and
+    1 are each column's min and max.
     """
+    if knots < 2:
+        raise DomainError("need at least 2 grid knots")
     rv = _check_ref(m, ref)
-    levels = np.asarray(grid.levels)
+    levels = np.linspace(0.0, 1.0, knots)
     ref_q = np.quantile(rv, levels)
     out = np.empty_like(m.values)
     for j in range(m.n_samples):
         col = m.values[:, j]
         xp, fp = _column_knots(col, levels, ref_q)
-        if col.min() < xp[0] or col.max() > xp[-1]:
-            raise DomainError(
-                f"column {m.sample_ids[j]!r} has values outside its quantile range; "
-                "extrapolation is not defined"
-            )
         out[:, j] = np.interp(col, xp, fp)
     return m.with_values(out)
 
@@ -145,7 +117,7 @@ class PipelineResult(NamedTuple):
 
 
 def normalize_pipeline(
-    m: ExpressionMatrix, reference: str = "deepest", grid: Optional[QuantileGrid] = None
+    m: ExpressionMatrix, reference: str = "deepest", knots: Optional[int] = None
 ) -> PipelineResult:
     """Build the reference from the sorted columns of ``m`` and map the columns onto it.
 
@@ -153,9 +125,10 @@ def normalize_pipeline(
     the linear rescaling of each column, applies
     :func:`~depthnorm.core.linear_prenormalize` first.  The output keeps
     the row order of ``m``.  ``reference`` selects the component-wise
-    median of the sorted columns or the deepest sorted column.  With a
-    ``grid`` the columns are interpolated between its quantile knots;
-    without one they take the reference value at each rank.
+    median of the sorted columns or the deepest sorted column.  With
+    ``knots`` the columns are interpolated between that many evenly spaced
+    quantile knots (:func:`quantile_normalize_subset`); without them they
+    take the reference value at each rank.
 
     Memory: besides ``m``, one matrix-sized array is alive at a time, the
     sorted curves or the output (the component-wise median partitions one
@@ -173,10 +146,10 @@ def normalize_pipeline(
     # the map reads the unsorted columns: the sorted copy goes before it
     # allocates its output
     del curves
-    if grid is None:
+    if knots is None:
         mapped = quantile_normalize_full(m, ref)
     else:
-        mapped = quantile_normalize_subset(m, ref, grid)
+        mapped = quantile_normalize_subset(m, ref, knots)
     return PipelineResult(mapped, ref, borders)
 
 

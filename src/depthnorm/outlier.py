@@ -11,6 +11,7 @@ size, dimension, and inter-sample covariance.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -405,12 +406,16 @@ def screen_outliers(
     The screens hold no matrix-sized data, so a caller may drop ``m``
     before the fence multiplier is calibrated and apply it after with
     :meth:`ScopeScreen.report`.  Raises here, before any calibration,
-    when the distances overflow or a scope's fence has no scale.  Beyond
-    ``m``, one matrix-sized array is alive: the sorted curves, which
-    every scope reads in place.
+    when two columns share a sample id, the distances overflow or a
+    scope's fence has no scale.  Beyond ``m``, one matrix-sized array is
+    alive: the sorted curves, which every scope reads in place.
     """
     if labels is not None and len(labels.labels) != m.n_samples:
         raise PartitionError(f"{len(labels.labels)} class labels for {m.n_samples} columns")
+    # the reports name each sample by its id
+    repeated = sorted(s for s, count in Counter(m.sample_ids).items() if count > 1)
+    if repeated:
+        raise DomainError(f"sample ids {repeated!r} name more than one column")
     curves = column_sort(m)
     screens = [_screen_scope(curves, "global")]
     if labels is not None:
@@ -518,6 +523,8 @@ def _csv_payload(rows: list[list[str]]) -> list[dict]:
     for mine in scopes.values():
         pairs, flagged = [], []
         for r in mine:
+            if r["pair_index"] != str(len(pairs) + 1):
+                raise ValueError(f"pair_index {r['pair_index']!r} is not {len(pairs) + 1}")
             count = r["member_count"]
             if count not in ("1", "2"):
                 raise ValueError(f"member_count {count!r} is not 1 or 2")
@@ -530,12 +537,23 @@ def _csv_payload(rows: list[list[str]]) -> list[dict]:
 
 
 def _report_from_payload(d: dict) -> OutlierReport:
+    if not isinstance(d["flagged_samples"], list) or not all(
+        isinstance(p["members"], list) for p in d["pairs"]
+    ):
+        raise ValueError("members or flagged_samples is not a list")
     pairs = tuple(Border(tuple(p["members"]), float(p["distance"])) for p in d["pairs"])
     if not pairs:
         raise ValueError(f"scope {d['scope']!r} has no pairs")
     for b in pairs:
         if len(b.members) not in (1, 2) or not all(isinstance(s, str) for s in b.members):
             raise ValueError(f"members {list(b.members)!r} are not 1 or 2 sample ids")
+    named = [s for b in pairs for s in b.members]
+    if len(set(named)) < len(named):
+        raise ValueError("a sample is named twice")
+    if any(len(b.members) == 1 for b in pairs[:-1]):
+        raise ValueError("a one-member border comes before the last")
+    if any(a.distance < b.distance for a, b in zip(pairs, pairs[1:])):
+        raise ValueError("pair distances rise")
     report = OutlierReport(
         scope=d["scope"],
         pairs=pairs,
@@ -548,16 +566,33 @@ def _report_from_payload(d: dict) -> OutlierReport:
         raise ValueError(f"unknown rule {report.rule!r}")
     if float(d["benchmark"]) != report.benchmark:
         raise ValueError(f"benchmark {d['benchmark']!r} is not tukey_constant x iqr_estimate")
-    if not set(report.flagged_samples) <= {s for b in pairs for s in b.members}:
+    if not set(report.flagged_samples) <= set(named):
         raise ValueError("a flagged sample is in no pair")
+    # the flags must be the fence's verdict: a stored farther member stands for the
+    # farther-from-deepest choice, which the file does not otherwise record
+    both = report.rule == "both-members"
+    stored = () if both else report.flagged_samples
+    farther = tuple(
+        stored[k] if k < len(stored) and stored[k] in b.members else b.members[0]
+        for k, b in enumerate(pairs) if len(b.members) == 2
+    )
+    verdict = ScopeScreen(report.scope, pairs, report.iqr_estimate, farther).report(
+        report.g_factor, both
+    )
+    if verdict != report:
+        raise ValueError(f"flagged samples {list(report.flagged_samples)!r} are not the fence's "
+                         f"verdict {list(verdict.flagged_samples)!r}")
     return report
 
 
 def load_reports(path) -> list[OutlierReport]:
     """Read ``outliers.json`` or ``outliers.csv`` back into reports.
 
-    A loaded report equals the report that was written.  A file without
-    reports, or a report without pairs of 1 or 2 ids, is a ParseError.
+    A loaded report equals the report that was written.  A file that no
+    writer makes is a ParseError: one without reports, a report without
+    pairs of 1 or 2 ids, a sample named twice, a one-member border before
+    the last, pair distances that rise, or flags that are not the fence's
+    verdict on the pairs.
     """
     path = Path(path)
     is_json = path.suffix.lower() == ".json"

@@ -22,16 +22,17 @@ from .core import (
 from .normalize import normalize_pipeline
 from .pipeline import ProbeMatrix, power_false_discovery, summarize_genes, two_sample_ttest
 
-METHOD_RMA = "RMA"
-METHOD_FDN_MP = "FDN-median-polish"
-METHOD_FDN_BW = "FDN-biweight"
-ALL_METHODS = (METHOD_RMA, METHOD_FDN_MP, METHOD_FDN_BW)
-
-_METHOD_LABEL = {
-    METHOD_RMA: "RMA",
-    METHOD_FDN_MP: "Median Polish FDN",
-    METHOD_FDN_BW: "M-Estimator FDN",
+# each method of the study: its study.txt label, the reference it normalizes
+# onto (normalize_pipeline's reference) and its gene summarizer (summarize_genes')
+METHODS = {
+    "RMA": ("RMA", "component_median", "median_polish"),
+    "FDN-median-polish": ("Median Polish FDN", "deepest", "median_polish"),
+    "FDN-biweight": ("M-Estimator FDN", "deepest", "biweight"),
 }
+ALL_METHODS = tuple(METHODS)
+METHOD_RMA, METHOD_FDN_MP, METHOD_FDN_BW = ALL_METHODS
+
+CENTER = 3.0
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class SimulationConfig:
     affected_genes: int = 100
     distortion_range: tuple[float, float] = (0.0, 2.0)
     base_power: float = 3.0
-    center: float = 3.0
     negative_floor: float = 0.001
     n_datasets: int = 20
     seed: int = 1729
@@ -91,7 +91,7 @@ def generate_dataset(cfg: SimulationConfig, dataset_seed: int) -> tuple[ProbeMat
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, dataset_seed)))
     p_total = cfg.n_genes * cfg.probes_per_gene
-    values = cfg.center + rng.standard_t(cfg.df, size=(p_total, cfg.n_samples))
+    values = CENTER + rng.standard_t(cfg.df, size=(p_total, cfg.n_samples))
     eps = rng.uniform(cfg.distortion_range[0], cfg.distortion_range[1], size=cfg.n_samples)
     values[values <= 0] = cfg.negative_floor
     shifted = cfg.affected_genes * cfg.probes_per_gene
@@ -169,7 +169,7 @@ class StudyReport:
     def format_table(self) -> str:
         """Text table: power block then false-discovery block per method."""
         methods = self.methods()
-        labels = [_METHOD_LABEL.get(m, m) for m in methods]
+        labels = [METHODS[m][0] if m in METHODS else m for m in methods]
         w = max(12, *(len(s) for s in labels)) + 2
         head = "".rjust(12) + "".join(s.rjust(w) for s in labels)
         out = [f"datasets per cell: {self.n_datasets}"]
@@ -185,7 +185,7 @@ class StudyReport:
 
 def _one_dataset(cfg: SimulationConfig, dataset_seed: int, methods: Sequence[str]) -> dict:
     pm, truth = generate_dataset(cfg, dataset_seed)
-    # both references map the same prenormalized matrix; the raw draws go before them
+    # every reference maps the same prenormalized matrix; the raw draws go before them
     m = linear_prenormalize(ExpressionMatrix(pm.values, pm.sample_ids), "median")
     probe_to_gene = pm.probe_to_gene
     del pm
@@ -193,27 +193,19 @@ def _one_dataset(cfg: SimulationConfig, dataset_seed: int, methods: Sequence[str
         tuple([1] * (cfg.n_samples // 2) + [2] * (cfg.n_samples // 2))
     )
     out = {}
-
-    def run(reference: str, summaries: list[tuple[str, str]]):
+    for reference in dict.fromkeys(METHODS[key][1] for key in methods):
         # one expression, so the normalized matrix is freed once its log2 copy exists
         logged = ProbeMatrix(
             np.log2(normalize_pipeline(m, reference=reference).matrix.values),
             probe_to_gene, m.sample_ids,
         )
-        for method_key, summarizer in summaries:
-            gm = summarize_genes(logged, summarizer)
-            tr = two_sample_ttest(gm, groups, truth)
-            out[method_key] = power_false_discovery(tr, cfg.alpha)
-
-    if METHOD_RMA in methods:
-        run("component_median", [(METHOD_RMA, "median_polish")])
-    fdn = [
-        (key, summ)
-        for key, summ in ((METHOD_FDN_MP, "median_polish"), (METHOD_FDN_BW, "biweight"))
-        if key in methods
-    ]
-    if fdn:
-        run("deepest", fdn)
+        for key in methods:
+            _, ref, summarizer = METHODS[key]
+            if ref == reference:
+                tr = two_sample_ttest(summarize_genes(logged, summarizer), groups, truth)
+                out[key] = power_false_discovery(tr, cfg.alpha)
+        # the next reference's pipeline runs without this one's log2 matrix
+        del logged
     return out
 
 

@@ -3,6 +3,8 @@ import ast
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -94,6 +96,20 @@ SEEDED_ARTIFACTS = {
         "depth.csv":
             "ad43fdb87eeafd33ad4f13ece5f3c373be2a8ad63918eb67444cb75444f9af4e",
     },
+    ("normalize", "--mode", "subset", "--grid-size", "2"): {
+        "normalized.csv":
+            "0521afa6bc2bc1687ddaf8b2978e225e5a116f8e59027f19f8fcd88151070778",
+        "reference.csv":
+            "0338792a5c6c52066c29acf36c9fed308da323ed375f2a423feee20346922626",
+        "depth.csv":
+            "ad43fdb87eeafd33ad4f13ece5f3c373be2a8ad63918eb67444cb75444f9af4e",
+    },
+    ("normalize", "--mode", "subset", "--grid-size", "7", "--reference", "component-median"): {
+        "normalized.csv":
+            "125423cf4fa7942ecff2062c5eefd5ed3820f0b4190fae04fec9607b6004b582",
+        "reference.csv":
+            "e26bfbe0c56293032b031e9abfdc74c0d70ff0be7dc242917342537ae426609c",
+    },
     ("normalize", "--reference", "component-median"): {
         "normalized.csv":
             "aacd5ca18757f2af8132d9f358f707da3c510acdbe15d6a1db0016e4bfda4de0",
@@ -131,6 +147,28 @@ def test_seeded_matrix_artifacts_keep_their_bytes(tmp_path, argv):
     assert run(*argv, "--input", _seeded_matrix(tmp_path), "--output-dir", out) == 0
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert written == SEEDED_ARTIFACTS[argv]
+
+
+# sha256 of study.csv and study.txt; the method order sets the order the references are built in
+STUDY_ARTIFACTS = {
+    (): {
+        "study.csv": "d6ffec357c0d06a24f69171e03e5b5b10ffea4c0863efdf42d5605c3ff0367c2",
+        "study.txt": "618980cf4bba3353aff911f2fd7ff535a15ce2361697d0dc9ba9deee47dfa6d8",
+    },
+    ("--methods", "FDN-biweight", "RMA"): {
+        "study.csv": "4e4423d70a1537000f7aecfef9de60c1d57b6dd3aa40410e3fe9a4a83f854e0d",
+        "study.txt": "46b8388dc2e3724dd9c32e56670bfcd0d984809f203d2b384cb0e2f47691910c",
+    },
+}
+
+
+@pytest.mark.parametrize("methods", list(STUDY_ARTIFACTS), ids=lambda a: " ".join(a) or "default")
+def test_study_artifacts_keep_their_bytes(tmp_path, methods):
+    out = tmp_path / "out"
+    assert run("simulate", "--df", "10", "--delta", "0.5", "--datasets", "4", "--seed", "7",
+               *methods, "--output-dir", out) == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert written == STUDY_ARTIFACTS[methods]
 
 
 class TestDepthCommand:
@@ -334,6 +372,21 @@ def test_the_only_function_level_import_is_scipy_special():
     assert found == [("pipeline.py", "two_sample_ttest", "scipy.special")]
 
 
+def _readme_commands() -> list[list[str]]:
+    """The argv of each ``depthnorm`` line in the README's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [ln for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+             for ln in block.replace("\\\n", " ").splitlines()]
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("depthnorm ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+    for argv in commands:
+        cli.parse_args(argv)  # a usage error exits 2
+
+
 class TestSimulateCommand:
     def test_single_cell_run(self, tmp_path):
         out = tmp_path / "out"
@@ -443,6 +496,12 @@ class TestReportCommand:
         assert run("report", "--kind", "study", "--input", f) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {f}: not a study report") and "Traceback" not in err
+
+    def test_header_only_study_report_is_a_data_error(self, tmp_path, capsys):
+        f = tmp_path / "study.csv"
+        f.write_text("df,delta,method,power,false_discoveries,n_datasets\n")
+        assert run("report", "--input", f) == 1
+        assert capsys.readouterr().err == f"error: {f}: empty study report\n"
 
     def test_study_report_missing_a_cell_is_a_data_error(self, tmp_path, capsys):
         f = tmp_path / "incomplete.csv"

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -16,7 +17,6 @@ from depthnorm import (
     ExpressionMatrix,
     ParseError,
     PartitionError,
-    QuantileGrid,
     TukeyCalibration,
     column_sort,
     component_wise_median,
@@ -32,7 +32,7 @@ from depthnorm import (
     save_matrix,
 )
 from depthnorm import core
-from depthnorm.plots import five_number_summaries
+from depthnorm.plots import boxplot_svg, five_number_summaries
 
 from oracles import load_matrix_oracle, save_matrix_one_shot_oracle, save_matrix_oracle
 
@@ -424,7 +424,7 @@ class TestMatrixValidation:
         filter_zero_rows(m, 6)
         component_wise_median(m)
         normalize_pipeline(m)
-        normalize_pipeline(m, reference="component_median", grid=QuantileGrid.uniform(5))
+        normalize_pipeline(m, reference="component_median", knots=5)
         peel_borders(m)
         robust_covariance(m)
         detect_outliers(m, TukeyCalibration.fixed(1.5), ClassPartition((1, 1, 1, 2, 2, 2)))
@@ -555,6 +555,13 @@ class TestLinearPrenormalize:
         assert np.allclose(out.values[:, 0], [8.0, 12.0])
         assert np.allclose(out.values[:, 1], [10.0 * 2 / 3, 20.0 * 2 / 3])
 
+    def test_mean_anchor_factors(self):
+        m = ExpressionMatrix(np.array([[1.0, 10.0], [3.0, 30.0]]))
+        out = linear_prenormalize(m, "mean")
+        # column means 2 and 20, grand anchor 11, factors 5.5 and 0.55
+        assert np.allclose(out.values[:, 0], [5.5, 16.5])
+        assert np.allclose(out.values[:, 1], [5.5, 16.5])
+
     def test_zero_anchor_rejected(self):
         m = ExpressionMatrix(np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]))
         with pytest.raises(DegenerateScaleError):
@@ -605,6 +612,14 @@ def test_boxplot_summaries_by_column_keep_the_bits_along_axis_0(data, g, layout)
     want = np.quantile(np.log1p(m.values), [0.0, 0.25, 0.5, 0.75, 1.0], axis=0)
     assert five_number_summaries(m).tobytes() == want.tobytes()
 
+def test_boxplot_of_a_constant_matrix_spans_one_unit():
+    # every summary is log(5): the axis runs from log(5) to log(5) + 1, padded by 5 %
+    svg = boxplot_svg(ExpressionMatrix(np.full((3, 2), 4.0)))
+    ticks = re.findall(r'font-size="10">([^<]*)</text>', svg)[:5]
+    assert ticks == ["1.56", "1.83", "2.11", "2.38", "2.66"]
+    assert "nan" not in svg and "inf" not in svg
+
+
 class TestClassPartition:
     def test_accepts_valid_labels(self):
         p = ClassPartition((1, 1, 2, 2, 2))
@@ -628,3 +643,9 @@ class TestClassPartition:
     def test_length_mismatch(self):
         with pytest.raises(PartitionError):
             load_class_labels("1,1,2", 4)
+
+    def test_non_integer_label_in_a_file(self, tmp_path):
+        f = tmp_path / "labels.txt"
+        f.write_text("1\n1.5\n2\n2\n")
+        with pytest.raises(ParseError, match="^class labels must be integers: .*'1.5'"):
+            load_class_labels(str(f), 4)

@@ -8,7 +8,6 @@ from depthnorm import (
     DimensionError,
     DomainError,
     ExpressionMatrix,
-    QuantileGrid,
     ReferenceCurve,
     column_sort,
     linear_prenormalize,
@@ -25,22 +24,6 @@ def tie_free_matrix(rng, g, n):
     while any(np.unique(vals[:, j]).size < g for j in range(n)):
         vals = rng.normal(size=(g, n))
     return ExpressionMatrix(vals)
-
-
-class TestQuantileGrid:
-    def test_uniform(self):
-        grid = QuantileGrid.uniform(5)
-        assert grid.levels == (0.0, 0.25, 0.5, 0.75, 1.0)
-
-    def test_must_span_zero_to_one(self):
-        with pytest.raises(DomainError):
-            QuantileGrid((0.0, 0.5))
-        with pytest.raises(DomainError):
-            QuantileGrid((0.1, 1.0))
-
-    def test_strictly_increasing(self):
-        with pytest.raises(DomainError):
-            QuantileGrid((0.0, 0.5, 0.5, 1.0))
 
 
 class TestFullMapping:
@@ -95,7 +78,7 @@ class TestSubsetMapping:
             np.array([[0.0, 0.0], [5.0, 5.0], [10.0, 10.0], [15.0, 15.0], [20.0, 20.0]])
         )
         ref = ReferenceCurve([0.0, 50.0, 100.0, 150.0, 200.0])
-        out = quantile_normalize_subset(m, ref, QuantileGrid((0.0, 0.5, 1.0)))
+        out = quantile_normalize_subset(m, ref, 3)
         assert out.values[1, 0] == pytest.approx(50.0)
         assert np.allclose(out.values[:, 0], [0, 50, 100, 150, 200])
 
@@ -103,8 +86,7 @@ class TestSubsetMapping:
         rng = np.random.default_rng(3)
         m = tie_free_matrix(rng, 21, 3)
         ref = ReferenceCurve(np.sort(rng.normal(size=21)))
-        grid = QuantileGrid((0.0, 0.5, 1.0))
-        out = quantile_normalize_subset(m, ref, grid)
+        out = quantile_normalize_subset(m, ref, 3)
         ref_median = np.quantile(ref.values, 0.5)
         for j in range(3):
             at_median = np.argwhere(m.values[:, j] == np.quantile(m.values[:, j], 0.5))
@@ -114,29 +96,45 @@ class TestSubsetMapping:
     def test_complete_grid_matches_full_mapping(self):
         rng = np.random.default_rng(12)
         g = 20
-        grid = QuantileGrid(tuple(np.arange(g) / (g - 1)))
         for _ in range(10):
             m = tie_free_matrix(rng, g, 4)
             ref = ReferenceCurve(np.sort(rng.normal(size=g)))
             full = quantile_normalize_full(m, ref)
-            subset = quantile_normalize_subset(m, ref, grid)
+            subset = quantile_normalize_subset(m, ref, g)
             assert np.allclose(full.values, subset.values, atol=1e-10)
 
     def test_zero_width_bracket_maps_to_midpoint(self):
         # constant lower half: quantile knots at levels 0 and .5 coincide
         m = ExpressionMatrix(np.array([[2.0, 0.0], [2.0, 1.0], [2.0, 2.0], [6.0, 3.0]]))
         ref = ReferenceCurve([10.0, 20.0, 30.0, 40.0])
-        grid = QuantileGrid((0.0, 0.5, 1.0))
-        out = quantile_normalize_subset(m, ref, grid)
-        ref_knots = np.quantile(ref.values, grid.levels)
+        out = quantile_normalize_subset(m, ref, 3)
+        ref_knots = np.quantile(ref.values, (0.0, 0.5, 1.0))
         expected = 0.5 * (ref_knots[0] + ref_knots[1])
         assert np.allclose(out.values[:3, 0], expected)
+
+    def test_knots_sit_at_evenly_spaced_levels(self):
+        # five knots sit at levels 0, 1/4, 1/2, 3/4 and 1: of 17 ranks, 0, 4, 8, 12 and 16
+        rng = np.random.default_rng(5)
+        m = tie_free_matrix(rng, 17, 3)
+        ref = ReferenceCurve(np.sort(rng.normal(size=17)))
+        out = quantile_normalize_subset(m, ref, 5)
+        for j in range(3):
+            at_knots = np.argsort(m.values[:, j])[[0, 4, 8, 12, 16]]
+            assert np.array_equal(out.values[at_knots, j], ref.values[[0, 4, 8, 12, 16]])
+
+    @pytest.mark.parametrize("knots", [1, 0, -3])
+    def test_fewer_than_two_knots_is_a_domain_error(self, knots):
+        m = ExpressionMatrix(np.arange(8.0).reshape(4, 2))
+        with pytest.raises(DomainError, match="need at least 2 grid knots"):
+            quantile_normalize_subset(m, ReferenceCurve(np.arange(4.0)), knots)
+        with pytest.raises(DomainError, match="need at least 2 grid knots"):
+            normalize_pipeline(m, knots=knots)
 
     def test_mapping_is_monotone_per_column(self):
         rng = np.random.default_rng(9)
         m = ExpressionMatrix(rng.uniform(size=(40, 3)))
         ref = ReferenceCurve(np.sort(rng.uniform(size=40)))
-        out = quantile_normalize_subset(m, ref, QuantileGrid.uniform(5))
+        out = quantile_normalize_subset(m, ref, 5)
         for j in range(3):
             order = np.argsort(m.values[:, j])
             assert (np.diff(out.values[order, j]) >= 0).all()
@@ -169,7 +167,7 @@ class TestQuantileMapProperties:
     @given(tied_columns_and_reference(), st.integers(2, 12))
     def test_subset_map_keeps_order_and_range(self, case, knots):
         m, ref = case
-        out = quantile_normalize_subset(m, ref, QuantileGrid.uniform(knots))
+        out = quantile_normalize_subset(m, ref, knots)
         assert_order_and_range_kept(m, ref, out)
 
     @settings(max_examples=300, deadline=None)
@@ -239,10 +237,9 @@ class TestPipeline:
     def test_a_grid_selects_the_subset_map(self):
         rng = np.random.default_rng(23)
         m = ExpressionMatrix(rng.uniform(1, 9, size=(40, 5)))
-        grid = QuantileGrid.uniform(7)
         prenormalized = linear_prenormalize(m, "median")
-        res = normalize_pipeline(prenormalized, grid=grid)
-        want = quantile_normalize_subset(prenormalized, res.reference, grid)
+        res = normalize_pipeline(prenormalized, knots=7)
+        want = quantile_normalize_subset(prenormalized, res.reference, 7)
         assert np.array_equal(res.matrix.values, want.values)
         full = normalize_pipeline(prenormalized).matrix
         assert not np.array_equal(res.matrix.values, full.values)

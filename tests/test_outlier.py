@@ -414,6 +414,11 @@ class TestDetectOutliers:
         with pytest.raises(PartitionError, match=f"^{len(labels)} class labels for {n} columns$"):
             detect_outliers(m, TukeyCalibration.fixed(1.0), ClassPartition(labels))
 
+    def test_a_sample_id_naming_two_columns_is_a_domain_error(self):
+        m = ExpressionMatrix(SPREAD, ("a", "b", "a", "c"))
+        with pytest.raises(DomainError, match=r"^sample ids \['a'\] name more than one column$"):
+            detect_outliers(m, TukeyCalibration.fixed(1.0))
+
     @pytest.mark.parametrize("flag_both, rule", [(False, "farther-from-deepest"),
                                                  (True, "both-members")])
     def test_rule_is_stated_when_nothing_is_flagged(self, flag_both, rule):
@@ -506,7 +511,8 @@ class TestReportFiles:
     def test_a_saved_report_loads_back_equal(self, tmp_path, data, n, flag_both, with_labels,
                                              seed):
         tricky = st.sampled_from(["", ";", "a;b", ",", '"', "'", " x ", "\r\n", "1"])
-        ids = tuple(data.draw(st.lists(st.one_of(st.text(), tricky), min_size=n, max_size=n)))
+        ids = tuple(data.draw(st.lists(st.one_of(st.text(), tricky), min_size=n, max_size=n,
+                                       unique=True)))
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(6, n)) * rng.uniform(0.5, 4.0, size=n)
         labels = None
@@ -582,6 +588,18 @@ class TestReportFiles:
         (lambda r: r["pairs"][0].update(members=[]), "are not 1 or 2 sample ids"),
         (lambda r: r["pairs"][0].update(members=[1, 2]), "are not 1 or 2 sample ids"),
         (lambda r: r["pairs"][0]["members"].append("z"), "are not 1 or 2 sample ids"),
+        (lambda r: r["pairs"][0].update(members="ab"), "is not a list"),
+        (lambda r: r.update(flagged_samples="b"), "is not a list"),
+        (lambda r: r["pairs"][1].update(members=["c", "c"]), "named twice"),
+        (lambda r: r["pairs"][1].update(members=["c", "a"]), "named twice"),
+        (lambda r: r["pairs"][0].update(members=["b"]), "one-member border comes before"),
+        (lambda r: r["pairs"][1].update(distance=200.0), "pair distances rise"),
+        # the fence at twice the IQR estimate clears the pair of the flagged b
+        (lambda r: r.update(tukey_constant=2.0, benchmark=2.0 * r["iqr_estimate"]),
+         "are not the fence's verdict"),
+        (lambda r: r.update(flagged_samples=["b", "d"]), "are not the fence's verdict"),
+        # c is in the second pair, which is below the fence; the flagged first pair holds a, b
+        (lambda r: r.update(flagged_samples=["c"]), "are not the fence's verdict"),
     ])
     def test_json_that_contradicts_itself_is_a_parse_error(self, tmp_path, edit, message):
         payload = json.loads(reports_to_json(_report_with_ids(("a", "b", "c", "d"), SPREAD)))
@@ -589,6 +607,15 @@ class TestReportFiles:
         (tmp_path / "r.json").write_text(json.dumps(payload))
         with pytest.raises(ParseError, match=message):
             load_reports(tmp_path / "r.json")
+
+    @pytest.mark.parametrize("index", ["2", "0", "", "x"])
+    def test_csv_pair_index_out_of_order_is_a_parse_error(self, tmp_path, index):
+        save_report_csv(_report_with_ids(("a", "b", "c", "d"), SPREAD), tmp_path / "r.csv")
+        lines = (tmp_path / "r.csv").read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace("global,1,", f"global,{index},", 1)
+        (tmp_path / "r.csv").write_text("".join(lines))
+        with pytest.raises(ParseError, match=f"pair_index '{index}' is not 1"):
+            load_reports(tmp_path / "r.csv")
 
     @pytest.mark.parametrize("name, text", [
         ("r.json", '{"reports": []}'),

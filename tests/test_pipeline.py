@@ -235,6 +235,11 @@ class TestWelch:
         with pytest.raises(PartitionError):
             two_sample_ttest(gm, ClassPartition((1, 1, 2, 2, 3, 3)))
 
+    def test_partition_of_the_wrong_length(self):
+        gm = ExpressionMatrix(np.ones((3, 6)))
+        with pytest.raises(PartitionError, match="^partition length does not match sample count$"):
+            two_sample_ttest(gm, ClassPartition((1, 1, 2, 2)))
+
 
 class TestPowerFalseDiscovery:
     def test_everything_flagged(self):
