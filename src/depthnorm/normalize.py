@@ -74,14 +74,23 @@ def quantile_normalize_full(m: ExpressionMatrix, ref: ReferenceCurve) -> Express
     return m.with_values(out)
 
 
-def _column_knots(col: np.ndarray, levels: np.ndarray, ref_q: np.ndarray):
+def _column_knots(col: np.ndarray, levels: np.ndarray, ref_q: np.ndarray, j: int):
     """Column quantile knots with zero-width brackets collapsed.
 
     A run of equal column quantiles maps interior points to the midpoint
-    of the corresponding reference bracket.
+    of the corresponding reference bracket.  The knots at levels 0 and 1
+    are the column's min and max: np.quantile interpolates them as
+    a + (b - a) * 0, which is NaN when b - a overflows.
     """
-    cq = np.quantile(col, levels)
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(cq)) + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cq = np.quantile(col, levels)
+        cq[0], cq[-1] = col.min(), col.max()
+        if not np.isfinite(cq).all():
+            raise DomainError(
+                f"column {j + 1}: its range overflows float64 between quantile knots; "
+                "rescale the data"
+            )
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(cq)) + 1))
     ends = np.concatenate((starts[1:], [len(cq)])) - 1
     xp = cq[starts]
     fp = np.where(starts == ends, ref_q[starts], 0.5 * (ref_q[starts] + ref_q[ends]))
@@ -105,7 +114,7 @@ def quantile_normalize_subset(m: ExpressionMatrix, ref: ReferenceCurve, knots: i
     out = np.empty_like(m.values)
     for j in range(m.n_samples):
         col = m.values[:, j]
-        xp, fp = _column_knots(col, levels, ref_q)
+        xp, fp = _column_knots(col, levels, ref_q, j)
         out[:, j] = np.interp(col, xp, fp)
     return m.with_values(out)
 

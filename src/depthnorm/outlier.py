@@ -520,7 +520,11 @@ def _csv_payload(rows: list[list[str]]) -> list[dict]:
     for r in (dict(zip(rows[0], cells)) for cells in rows[1:]):
         scopes.setdefault(r["scope"], []).append(r)
     payload = []
-    for mine in scopes.values():
+    for scope, mine in scopes.items():
+        # each row repeats its scope's fields; a writer never makes them differ
+        for field in ("iqr_estimate", "benchmark", "tukey_constant", "rule"):
+            if any(r[field] != mine[0][field] for r in mine):
+                raise ValueError(f"the rows of scope {scope!r} disagree on {field}")
         pairs, flagged = [], []
         for r in mine:
             if r["pair_index"] != str(len(pairs) + 1):

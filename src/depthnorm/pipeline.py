@@ -8,6 +8,7 @@ a Welch two-sample t-test with power / false-discovery bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -164,18 +165,12 @@ class TestResult:
             object.__setattr__(self, "truth_labels", np.asarray(self.truth_labels, dtype=bool))
 
 
-def two_sample_ttest(
-    gm: ExpressionMatrix,
-    groups: ClassPartition,
-    truth: Optional[np.ndarray] = None,
-) -> TestResult:
-    """Welch two-sample t-test per gene (two-sided).
+def _welch(gm: ExpressionMatrix, groups: ClassPartition):
+    """Welch t, its degrees of freedom, and the rows where both groups have zero variance.
 
-    Degenerate rows follow the limit convention: zero variance in both
-    groups gives p = 1 for equal means and p = 0 for unequal means.
+    On those rows t is 0 for equal means and +-inf for unequal ones, so
+    their p-value is 1 where t == 0 and 0 elsewhere.
     """
-    from scipy.special import stdtr  # the package's only scipy use; kept off startup
-
     if groups.class_count != 2:
         raise PartitionError(f"need exactly 2 classes, got {groups.class_count}")
     if len(groups.labels) != gm.n_samples:
@@ -189,23 +184,126 @@ def two_sample_ttest(
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (m1 - m2) / np.sqrt(se2)
         df = se2**2 / ((v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1))
-        p = 2.0 * stdtr(df, -np.abs(t))  # Student t survival function
     degenerate = se2 == 0
-    equal = degenerate & (m1 == m2)
-    t[equal] = 0.0
-    p[equal] = 1.0
+    t[degenerate & (m1 == m2)] = 0.0
     unequal = degenerate & (m1 != m2)
     t[unequal] = np.where(m1[unequal] > m2[unequal], np.inf, -np.inf)
-    p[unequal] = 0.0
+    return t, df, degenerate
+
+
+def _two_sided_p(df: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """2 P(T_df > |t|) from scipy's Student t distribution function."""
+    from scipy.special import stdtr  # the package's only scipy use; kept off startup
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 2.0 * stdtr(df, -np.abs(t))
+
+
+def two_sample_ttest(
+    gm: ExpressionMatrix,
+    groups: ClassPartition,
+    truth: Optional[np.ndarray] = None,
+) -> TestResult:
+    """Welch two-sample t-test per gene (two-sided).
+
+    Degenerate rows follow the limit convention: zero variance in both
+    groups gives p = 1 for equal means and p = 0 for unequal means.
+    """
+    t, df, degenerate = _welch(gm, groups)
+    p = _two_sided_p(df, t)
+    p[degenerate] = np.where(t[degenerate] == 0.0, 1.0, 0.0)
     return TestResult(t, p, truth)
 
 
-def power_false_discovery(tr: TestResult, alpha: float) -> tuple[float, int]:
-    """Power (percent of true genes flagged at ``alpha``) and false flags."""
-    if tr.truth_labels is None:
-        raise DomainError("power requires truth labels")
-    flagged = tr.p_value < alpha
-    truth = tr.truth_labels
+# welch_flags' filter: a gene whose estimated p-value lies within this relative
+# distance of alpha, or that has no estimate, is decided by stdtr.  Against
+# stdtr the estimate's relative error was at most 9e-12 (df 0.5 to 1,000,
+# p from 1e-6 to 0.99) and at most 1.1e-12 for p within 50 % of 0.05.
+_TAIL_BAND = 1e-8
+# stdtr returns 0 for a p-value below about 2e-308, where the estimate is still
+# right, so near a smaller alpha the band keeps the width it has at this alpha
+_TAIL_FLOOR = 1e-290
+_TAIL_MAX_ITER = 200  # continued-fraction steps before a gene is left to stdtr
+_TAIL_TOL = 1e-13  # the fraction has converged when a step changes it by less
+# Above this df the fraction's first terms and the log-beta cancel: the relative
+# error grew to 1.4e-10 by df 1e4 and 1.4e-8 by 1e8.  Welch df is at most
+# n1 + n2 - 2, so only matrices of over a thousand samples reach it.
+_TAIL_MAX_DF = 1e3
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)  # log Gamma(1/2)
+
+
+def _two_sided_p_estimate(df: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """2 P(T_df > |t|) in numpy, NaN where it is not trusted.
+
+    The tail is I_x(df/2, 1/2) with x = df / (df + t^2).  The incomplete
+    beta's continued fraction (DiDonato & Morris, ACM TOMS 708) runs by
+    the modified Lentz method over all genes at once; a gene drops out
+    when it converges.  Where x >= (a + 1) / (a + b + 2) the fraction is
+    taken for 1 - I_{1-x}(1/2, df/2) instead.  A zero divisor makes the
+    fraction infinite or NaN, so the result is never finite by accident.
+    """
+    t2 = t * t
+    s = df + t2
+    x, y = df / s, t2 / s  # x and 1 - x, each without cancellation
+    a = 0.5 * df
+    swap = x >= (a + 1.0) / (a + 2.5)
+    usable = np.where((a > 0.0) & (df <= _TAIL_MAX_DF), a, np.nan)  # lgamma(0) raises
+    log_beta = _LOG_SQRT_PI + np.array([math.lgamma(v) - math.lgamma(v + 0.5)
+                                        for v in usable.tolist()], dtype=np.float64)
+    pa = np.where(swap, 0.5, a)
+    pb = np.where(swap, a, 0.5)
+    z = np.where(swap, y, x)
+    frac = np.full(a.size, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # x^a (1 - x)^(1/2) / B(a, 1/2), with log x as -log1p(t^2/df) for x near 1
+        front = np.exp(-a * np.log1p(t2 / df) + 0.5 * np.log(y) - log_beta)
+        d = 1.0 / (1.0 - (pa + pb) * z / (pa + 1.0))
+        # one row per quantity (a, b, x, fraction, c, d), so dropping converged genes is one gather
+        state = np.stack([pa, pb, z, d, np.ones(a.size), d])
+        idx = np.arange(a.size)
+        for m in range(1, _TAIL_MAX_ITER + 1):
+            p, q, z, h, c, d = state  # views: the updates below write into state
+            p2m = p + 2 * m
+            for coef in (m * (q - m) * z / ((p2m - 1.0) * p2m),
+                         -(p + m) * (p + q + m) * z / (p2m * (p2m + 1.0))):
+                d[:] = 1.0 / (1.0 + coef * d)
+                c[:] = 1.0 + coef / c
+                step = d * c
+                h *= step
+            done = np.abs(step - 1.0) < _TAIL_TOL
+            if done.any():
+                frac[idx[done]] = h[done]
+                idx, state = idx[~done], state[:, ~done]
+                if idx.size == 0:
+                    break
+        return np.where(swap, 1.0 - 2.0 * front * frac, front * frac / a)
+
+
+def welch_flags(gm: ExpressionMatrix, groups: ClassPartition, alpha: float) -> np.ndarray:
+    """``two_sample_ttest(gm, groups).p_value < alpha``, mostly without scipy.
+
+    A numpy estimate of each p-value decides every gene whose estimate is
+    finite and farther than ``_TAIL_BAND`` (relative) from ``alpha``,
+    which is far wider than its error; stdtr decides the rest, so the
+    flags are exactly the test's.  scipy is imported only for those genes.
+    """
+    t, df, degenerate = _welch(gm, groups)
+    flags = np.empty(t.shape, dtype=bool)
+    flags[degenerate] = np.where(t[degenerate] == 0.0, 1.0, 0.0) < alpha
+    live = np.flatnonzero(~degenerate)
+    p = _two_sided_p_estimate(df[live], t[live])
+    band = _TAIL_BAND * max(alpha, _TAIL_FLOOR)
+    with np.errstate(invalid="ignore"):
+        sure = np.abs(p - alpha) > band  # False where p is NaN
+    flags[live[sure]] = p[sure] < alpha
+    rest = live[~sure]
+    if rest.size:
+        flags[rest] = _two_sided_p(df[rest], t[rest]) < alpha
+    return flags
+
+
+def count_discoveries(flagged: np.ndarray, truth: np.ndarray) -> tuple[float, int]:
+    """Power (percent of true genes flagged) and the number of false flags."""
     n_true = int(truth.sum())
     if n_true == 0:
         raise DomainError("no true genes in the truth labels")
@@ -213,3 +311,9 @@ def power_false_discovery(tr: TestResult, alpha: float) -> tuple[float, int]:
     false = int((flagged & ~truth).sum())
     return power, false
 
+
+def power_false_discovery(tr: TestResult, alpha: float) -> tuple[float, int]:
+    """Power (percent of true genes flagged at ``alpha``) and false flags."""
+    if tr.truth_labels is None:
+        raise DomainError("power requires truth labels")
+    return count_discoveries(tr.p_value < alpha, tr.truth_labels)

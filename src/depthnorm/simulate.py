@@ -20,7 +20,7 @@ from .core import (
     read_rows, write_rows,
 )
 from .normalize import normalize_pipeline
-from .pipeline import ProbeMatrix, power_false_discovery, summarize_genes, two_sample_ttest
+from .pipeline import ProbeMatrix, count_discoveries, summarize_genes, welch_flags
 
 # each method of the study: its study.txt label, the reference it normalizes
 # onto (normalize_pipeline's reference) and its gene summarizer (summarize_genes')
@@ -202,8 +202,8 @@ def _one_dataset(cfg: SimulationConfig, dataset_seed: int, methods: Sequence[str
         for key in methods:
             _, ref, summarizer = METHODS[key]
             if ref == reference:
-                tr = two_sample_ttest(summarize_genes(logged, summarizer), groups, truth)
-                out[key] = power_false_discovery(tr, cfg.alpha)
+                flags = welch_flags(summarize_genes(logged, summarizer), groups, cfg.alpha)
+                out[key] = count_discoveries(flags, truth)
         # the next reference's pipeline runs without this one's log2 matrix
         del logged
     return out

@@ -62,6 +62,25 @@ class TestNormalizeCommand:
         assert (out / "normalized.csv").exists()
         assert not (out / "depth.csv").exists()
 
+    @pytest.mark.parametrize("grid_size", ["2", "3"])
+    def test_subset_mode_on_a_range_that_overflows(self, tmp_path, capsys, grid_size):
+        # max - min of column 1 overflows: the end knots are its min and max, and an
+        # interior knot that cannot be interpolated is a data error, not a numpy warning
+        f = tmp_path / "big.csv"
+        f.write_text("a,b,c\n-1.7e308,1,2\n1.7e308,2,3\n")
+        out = tmp_path / "out"
+        code = run("normalize", "--input", f, "--prenorm", "none", "--mode", "subset",
+                   "--grid-size", grid_size, "--reference", "component-median",
+                   "--output-dir", out)
+        err = capsys.readouterr().err
+        if grid_size == "2":
+            assert code == 0
+            assert (out / "normalized.csv").read_text() == "a,b,c\n1.0,1.0,1.0\n3.0,3.0,3.0\n"
+        else:
+            assert code == 1
+            assert err == ("error: column 1: its range overflows float64 between quantile "
+                           "knots; rescale the data\n")
+
 
 def _seeded_matrix(directory: Path) -> Path:
     """9,000 x 11 with tied values and a duplicate column: wider than einsum's 8,192-value buffer."""
@@ -169,6 +188,22 @@ def test_study_artifacts_keep_their_bytes(tmp_path, methods):
                *methods, "--output-dir", out) == 0
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert written == STUDY_ARTIFACTS[methods]
+
+
+def test_simulate_loads_no_scipy(tmp_path):
+    # the study's Welch flags need stdtr only for a p-value within 1e-8 of alpha
+    argv = ["simulate", "--df", "10", "--delta", "0.5", "--datasets", "4", "--seed", "7",
+            "--output-dir", str(tmp_path)]
+    probe = ("import sys\n"
+             "from depthnorm.cli import main\n"
+             f"assert main({argv!r}) == 0\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", probe], cwd=root, env={**os.environ,
+                         "PYTHONPATH": "src"}, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+    digest = hashlib.sha256((tmp_path / "study.csv").read_bytes()).hexdigest()
+    assert digest == STUDY_ARTIFACTS[()]["study.csv"]
 
 
 class TestDepthCommand:
@@ -369,7 +404,7 @@ def test_the_only_function_level_import_is_scipy_special():
                         found.append((path.name, fn.name, "." * node.level + (node.module or "")))
                     elif isinstance(node, ast.Import):
                         found += [(path.name, fn.name, a.name) for a in node.names]
-    assert found == [("pipeline.py", "two_sample_ttest", "scipy.special")]
+    assert found == [("pipeline.py", "_two_sided_p", "scipy.special")]
 
 
 def _readme_commands() -> list[list[str]]:

@@ -580,6 +580,22 @@ class TestReportFiles:
         with pytest.raises(ParseError, match=f"member_count '{count}' is not 1 or 2"):
             load_reports(tmp_path / "r.csv")
 
+    @pytest.mark.parametrize("field, value", [
+        ("iqr_estimate", "999.0"),
+        ("benchmark", "999.0"),
+        ("tukey_constant", "999.0"),
+        ("rule", "both-members"),
+    ])
+    def test_csv_rows_of_a_scope_that_disagree_are_a_parse_error(self, tmp_path, field, value):
+        # the second row is the global scope's unflagged second pair
+        save_report_csv(_report_with_ids(("a", "b", "c", "d"), SPREAD), tmp_path / "r.csv")
+        rows = [ln.split(",") for ln in (tmp_path / "r.csv").read_text().splitlines()]
+        assert rows[2][rows[0].index(field)] != value
+        rows[2][rows[0].index(field)] = value
+        (tmp_path / "r.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(ParseError, match=f"rows of scope 'global' disagree on {field}"):
+            load_reports(tmp_path / "r.csv")
+
     @pytest.mark.parametrize("edit, message", [
         (lambda r: r.update(benchmark=r["benchmark"] * 2), "benchmark"),
         (lambda r: r.update(flagged_samples=["z"]), "in no pair"),

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from depthnorm import (
     ClassPartition,
@@ -14,7 +21,7 @@ from depthnorm import (
     summarize_genes,
     two_sample_ttest,
 )
-from depthnorm.pipeline import TestResult
+from depthnorm.pipeline import TestResult, welch_flags
 
 from oracles import biweight_oracle, medpolish_oracle
 
@@ -239,6 +246,83 @@ class TestWelch:
         gm = ExpressionMatrix(np.ones((3, 6)))
         with pytest.raises(PartitionError, match="^partition length does not match sample count$"):
             two_sample_ttest(gm, ClassPartition((1, 1, 2, 2)))
+
+
+class TestWelchFlags:
+    """``welch_flags`` is ``two_sample_ttest(...).p_value < alpha`` exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n1=st.integers(2, 30),
+        n2=st.integers(2, 30),
+        kinds=st.lists(st.sampled_from(["drawn", "drawn", "drawn", "equal", "unequal"]),
+                       min_size=1, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                        st.just("a gene's p")),
+    )
+    # a p-value near 4e-313, which stdtr gives as 0, against the smallest alpha
+    @example(n1=15, n2=15, kinds=["unequal"], seed=0, alpha=5e-324)
+    def test_flags_are_the_tests_verdicts(self, n1, n2, kinds, seed, alpha):
+        rng = np.random.default_rng(seed)
+        g = len(kinds)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, (g, 1))
+        values = scale * rng.standard_normal((g, n1 + n2))
+        values[:, :n1] += scale * rng.normal(0.0, 2.0, (g, 1))
+        for i, kind in enumerate(kinds):
+            if kind != "drawn":  # constant in each group, up to the rounding of its mean
+                values[i] = scale[i, 0]
+                values[i, :n1] += scale[i, 0] if kind == "unequal" else 0.0
+        gm = ExpressionMatrix(values)
+        groups = ClassPartition((1,) * n1 + (2,) * n2)
+        p = two_sample_ttest(gm, groups).p_value
+        if alpha == "a gene's p":
+            inside = p[(p > 0.0) & (p < 1.0)]
+            alpha = float(inside[0]) if inside.size else 0.05
+        np.testing.assert_array_equal(welch_flags(gm, groups, alpha), p < alpha)
+
+    def test_a_gene_at_alpha_is_decided_by_stdtr(self):
+        # alpha is gene 17's own p-value, so only stdtr can say that p < alpha is False
+        values = np.random.default_rng(21).standard_normal((50, 10))
+        groups = ClassPartition((1,) * 5 + (2,) * 5)
+        p = two_sample_ttest(ExpressionMatrix(values), groups).p_value
+        alpha = float(p[17])
+        probe = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from depthnorm import ClassPartition, ExpressionMatrix\n"
+            "from depthnorm.pipeline import welch_flags\n"
+            f"gm = ExpressionMatrix(np.array({values.tolist()!r}))\n"
+            f"groups = ClassPartition({groups.labels!r})\n"
+            f"flags = welch_flags(gm, groups, {alpha!r})\n"
+            "print(int('scipy.special' in sys.modules), ''.join(str(int(f)) for f in flags))\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", probe], cwd=root, env={**os.environ,
+                             "PYTHONPATH": "src"}, capture_output=True, text=True, check=True)
+        loaded, flags = out.stdout.split()
+        assert loaded == "1"
+        assert flags[17] == "0"
+        assert flags == "".join(str(int(f)) for f in p < alpha)
+
+    def test_p_values_are_stdtr_bit_for_bit(self):
+        from scipy.special import stdtr
+
+        rng = np.random.default_rng(23)
+        values = rng.standard_normal((300, 11)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
+        values[:3] = [[2.0] * 11, [1.0] * 5 + [3.0] * 6, [4.0] * 5 + [1.0] * 6]
+        tr = two_sample_ttest(ExpressionMatrix(values), ClassPartition((1,) * 5 + (2,) * 6))
+        a, b = values[:, :5], values[:, 5:]
+        v1, v2 = a.var(axis=1, ddof=1), b.var(axis=1, ddof=1)
+        se2 = v1 / 5 + v2 / 6
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (a.mean(axis=1) - b.mean(axis=1)) / np.sqrt(se2)
+            df = se2**2 / ((v1 / 5) ** 2 / 4 + (v2 / 6) ** 2 / 5)
+            p = 2.0 * stdtr(df, -np.abs(t))
+        p[:3] = [1.0, 0.0, 0.0]
+        t[:3] = [0.0, -np.inf, np.inf]
+        assert tr.p_value.tobytes() == p.tobytes()
+        assert tr.statistic.tobytes() == t.tobytes()
 
 
 class TestPowerFalseDiscovery:

@@ -143,11 +143,24 @@ def test_one_dataset_matches_prenormalizing_per_reference(df):
         assert got == one_dataset_prenormalizing_per_reference(cfg, ds), (df, ds)
 
 
+def test_per_dataset_counts_match_the_exact_test_at_one_and_four_threads():
+    from concurrent.futures import ThreadPoolExecutor
+    from dataclasses import replace
+
+    cfg = replace(TINY, n_genes=200, affected_genes=20, delta=1.0)
+    seeds = range(8)
+    sequential = [_one_dataset(cfg, ds, ALL_METHODS) for ds in seeds]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(lambda ds: _one_dataset(cfg, ds, ALL_METHODS), seeds))
+    assert threaded == sequential
+    assert sequential == [one_dataset_prenormalizing_per_reference(cfg, ds) for ds in seeds]
+
+
 def test_one_dataset_peak_memory_at_the_default_sizes():
     # the 1,000 x 11 x 12 dataset is 1.06 MB a matrix: the prenormalized and logged
     # matrices, the pipeline's working copies and bounded summarizer batches fit in 6 MB
     cfg = SimulationConfig()
-    _one_dataset(cfg, 0, ALL_METHODS)  # warm lazy set-up (the scipy import)
+    _one_dataset(cfg, 0, ALL_METHODS)  # warm lazy set-up (numpy's first calls)
     tracemalloc.start()
     try:
         _one_dataset(cfg, 1, ALL_METHODS)
@@ -176,8 +189,8 @@ class TestRunStudy:
         assert seq == par
 
     def test_first_welch_tests_on_many_threads_match_sequential(self):
-        # scipy.special is imported inside two_sample_ttest, so in a fresh interpreter
-        # the four workers' first tests race on that import
+        # in a fresh interpreter the four workers' first Welch decisions run at once,
+        # and so would their imports of scipy.special for a gene at alpha
         from dataclasses import replace
 
         cfg = replace(TINY, n_datasets=8)
