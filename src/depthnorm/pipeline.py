@@ -166,10 +166,12 @@ class TestResult:
 
 
 def _welch(gm: ExpressionMatrix, groups: ClassPartition):
-    """Welch t, its degrees of freedom, and the rows where both groups have zero variance.
+    """Welch t, its degrees of freedom, and the p-value of each zero-variance row.
 
-    On those rows t is 0 for equal means and +-inf for unequal ones, so
-    their p-value is 1 where t == 0 and 0 elsewhere.
+    Where both groups have zero variance the limit convention holds: t is
+    0 and p is 1 for equal means, t is +-inf and p is 0 for unequal ones.
+    The returned p is NaN on every other row, whose p-value comes from
+    the t distribution.
     """
     if groups.class_count != 2:
         raise PartitionError(f"need exactly 2 classes, got {groups.class_count}")
@@ -184,11 +186,13 @@ def _welch(gm: ExpressionMatrix, groups: ClassPartition):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (m1 - m2) / np.sqrt(se2)
         df = se2**2 / ((v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1))
-    degenerate = se2 == 0
-    t[degenerate & (m1 == m2)] = 0.0
-    unequal = degenerate & (m1 != m2)
+    p_limit = np.full(t.shape, np.nan)
+    equal = (se2 == 0) & (m1 == m2)
+    t[equal], p_limit[equal] = 0.0, 1.0
+    unequal = (se2 == 0) & (m1 != m2)
     t[unequal] = np.where(m1[unequal] > m2[unequal], np.inf, -np.inf)
-    return t, df, degenerate
+    p_limit[unequal] = 0.0
+    return t, df, p_limit
 
 
 def _two_sided_p(df: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -209,9 +213,8 @@ def two_sample_ttest(
     Degenerate rows follow the limit convention: zero variance in both
     groups gives p = 1 for equal means and p = 0 for unequal means.
     """
-    t, df, degenerate = _welch(gm, groups)
-    p = _two_sided_p(df, t)
-    p[degenerate] = np.where(t[degenerate] == 0.0, 1.0, 0.0)
+    t, df, p_limit = _welch(gm, groups)
+    p = np.where(np.isnan(p_limit), _two_sided_p(df, t), p_limit)
     return TestResult(t, p, truth)
 
 
@@ -287,10 +290,9 @@ def welch_flags(gm: ExpressionMatrix, groups: ClassPartition, alpha: float) -> n
     which is far wider than its error; stdtr decides the rest, so the
     flags are exactly the test's.  scipy is imported only for those genes.
     """
-    t, df, degenerate = _welch(gm, groups)
-    flags = np.empty(t.shape, dtype=bool)
-    flags[degenerate] = np.where(t[degenerate] == 0.0, 1.0, 0.0) < alpha
-    live = np.flatnonzero(~degenerate)
+    t, df, p_limit = _welch(gm, groups)
+    flags = p_limit < alpha  # the zero-variance rows' verdicts; False elsewhere until set
+    live = np.flatnonzero(np.isnan(p_limit))
     p = _two_sided_p_estimate(df[live], t[live])
     band = _TAIL_BAND * max(alpha, _TAIL_FLOOR)
     with np.errstate(invalid="ignore"):
