@@ -80,17 +80,20 @@ def _column_knots(col: np.ndarray, levels: np.ndarray, ref_q: np.ndarray, j: int
     A run of equal column quantiles maps interior points to the midpoint
     of the corresponding reference bracket.  The knots at levels 0 and 1
     are the column's min and max: np.quantile interpolates them as
-    a + (b - a) * 0, which is NaN when b - a overflows.
+    a + (b - a) * 0, which is NaN when b - a overflows.  A gap between
+    knots that overflows would give np.interp a zero slope, so it is an
+    error, as is a knot that is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         cq = np.quantile(col, levels)
         cq[0], cq[-1] = col.min(), col.max()
-        if not np.isfinite(cq).all():
-            raise DomainError(
-                f"column {j + 1}: its range overflows float64 between quantile knots; "
-                "rescale the data"
-            )
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(cq)) + 1))
+        gaps = np.diff(cq)  # not finite where a knot is not, or where a gap overflows
+    if not np.isfinite(gaps).all():
+        raise DomainError(
+            f"column {j + 1}: its range overflows float64 between quantile knots; "
+            "rescale the data"
+        )
+    starts = np.concatenate(([0], np.flatnonzero(gaps) + 1))
     ends = np.concatenate((starts[1:], [len(cq)])) - 1
     xp = cq[starts]
     fp = np.where(starts == ends, ref_q[starts], 0.5 * (ref_q[starts] + ref_q[ends]))

@@ -62,24 +62,34 @@ class TestNormalizeCommand:
         assert (out / "normalized.csv").exists()
         assert not (out / "depth.csv").exists()
 
-    @pytest.mark.parametrize("grid_size", ["2", "3"])
-    def test_subset_mode_on_a_range_that_overflows(self, tmp_path, capsys, grid_size):
-        # max - min of column 1 overflows: the end knots are its min and max, and an
-        # interior knot that cannot be interpolated is a data error, not a numpy warning
+    @pytest.mark.parametrize("grid_size, rows", [
+        ("2", "-1.7e308,1,2\n0,2,3\n1.7e308,3,4\n"),
+        ("3", "-1.7e308,1,2\n1.7e308,2,3\n"),
+    ], ids=["gap", "knot"])
+    def test_subset_mode_on_a_range_that_overflows(self, tmp_path, capsys, grid_size, rows):
+        # max - min of column 1 overflows: with two knots the one gap does, and with
+        # three on two rows the middle knot cannot be interpolated; either is a data
+        # error, not a numpy warning or an interior value mapped onto the bottom knot
         f = tmp_path / "big.csv"
-        f.write_text("a,b,c\n-1.7e308,1,2\n1.7e308,2,3\n")
-        out = tmp_path / "out"
+        f.write_text("a,b,c\n" + rows)
         code = run("normalize", "--input", f, "--prenorm", "none", "--mode", "subset",
                    "--grid-size", grid_size, "--reference", "component-median",
-                   "--output-dir", out)
-        err = capsys.readouterr().err
-        if grid_size == "2":
-            assert code == 0
-            assert (out / "normalized.csv").read_text() == "a,b,c\n1.0,1.0,1.0\n3.0,3.0,3.0\n"
-        else:
-            assert code == 1
-            assert err == ("error: column 1: its range overflows float64 between quantile "
-                           "knots; rescale the data\n")
+                   "--output-dir", tmp_path / "out")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: column 1: its range overflows float64 between quantile knots; "
+            "rescale the data\n")
+
+    def test_subset_mode_keeps_a_range_near_the_float64_limit(self, tmp_path):
+        # max - min is 1.6e308, finite: each knot and gap is, so the column maps
+        f = tmp_path / "big.csv"
+        f.write_text("a,b,c\n0,1,2\n8e307,2,3\n1.6e308,3,4\n")
+        out = tmp_path / "out"
+        assert run("normalize", "--input", f, "--prenorm", "none", "--mode", "subset",
+                   "--grid-size", "2", "--reference", "component-median",
+                   "--output-dir", out) == 0
+        assert (out / "normalized.csv").read_text() == (
+            "a,b,c\n1.0,1.0,1.0\n2.5,2.5,2.5\n4.0,4.0,4.0\n")
 
 
 def _seeded_matrix(directory: Path) -> Path:
@@ -635,6 +645,17 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: alpha ") and f"got {float(alpha)!r}" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "study.csv").exists()
+
+    def test_intensities_that_overflow_are_a_data_error(self, tmp_path, capsys):
+        # (3 + 1e100) ** 3 overflows float64: an error naming the cause, not a numpy warning
+        argv = ["simulate", "--datasets", "1", "--genes", "5", "--probes-per-gene", "3",
+                "--affected-genes", "1", "--samples", "4", "--delta", "1e100",
+                "--output-dir", tmp_path]
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            "error: the simulated intensities overflow float64; "
+            "lower delta or the distortion range\n")
         assert not (tmp_path / "study.csv").exists()
 
     @pytest.mark.parametrize("flag, value, message", [

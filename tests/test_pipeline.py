@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from depthnorm import (
     summarize_genes,
     two_sample_ttest,
 )
+from depthnorm import pipeline
 from depthnorm.pipeline import TestResult, welch_flags
 
 from oracles import biweight_oracle, medpolish_oracle
@@ -304,6 +306,42 @@ class TestWelchFlags:
         assert loaded == "1"
         assert flags[17] == "0"
         assert flags == "".join(str(int(f)) for f in p < alpha)
+
+    def test_estimate_is_far_inside_the_band(self):
+        # the filter trusts the numpy tail 1e-8 (relative) away from alpha; its
+        # error must stay orders of magnitude below that wherever it gives a value
+        from scipy.special import stdtr, stdtrit
+
+        rng = np.random.default_rng(29)
+        df = np.exp(rng.uniform(np.log(0.5), np.log(1000.0), 20000))
+        p = np.exp(rng.uniform(np.log(1e-6), np.log(0.99), df.size))
+        t = stdtrit(df, p / 2) * rng.choice([-1.0, 1.0], df.size)
+        exact = 2.0 * stdtr(df, -np.abs(t))
+        estimate = pipeline._two_sided_p_estimate(df, t)
+        assert np.isfinite(estimate).all()
+        assert np.max(np.abs(estimate - exact) / exact) < 1e-11
+
+    def test_bounds_hold_the_exact_tail(self):
+        # up to rounding (1e-12, far inside the band), lower <= stdtr's p <= upper
+        from scipy.special import stdtr, stdtrit
+
+        rng = np.random.default_rng(37)
+        df = np.exp(rng.uniform(np.log(0.5), np.log(1000.0), 20000))
+        p = np.exp(rng.uniform(np.log(1e-200), 0.0, df.size))
+        t = stdtrit(df, p / 2) * rng.choice([-1.0, 1.0], df.size)
+        # near df 0.5 a tiny p needs |t| above 1e154, whose square overflows
+        df, t = df[np.isfinite(t * t)], t[np.isfinite(t * t)]
+        exact = 2.0 * stdtr(df, -np.abs(t))
+        lower, upper = pipeline._two_sided_p_bounds(df, t)
+        assert df.size > 19900
+        assert (lower <= exact * (1.0 + 1e-12)).all()
+        assert (upper >= exact * (1.0 - 1e-12)).all()
+
+    def test_log_gamma_ratio_matches_lgamma(self):
+        # up to 100, where the two lgamma values cancel by less than 1e-13
+        a = np.exp(np.random.default_rng(31).uniform(np.log(0.01), np.log(100.0), 5000))
+        exact = [math.lgamma(v) - math.lgamma(v + 0.5) for v in a]
+        np.testing.assert_allclose(pipeline._log_gamma_ratio(a), exact, rtol=0, atol=1e-12)
 
     def test_p_values_are_stdtr_bit_for_bit(self):
         from scipy.special import stdtr
