@@ -218,10 +218,10 @@ def two_sample_ttest(
     return TestResult(t, p, truth)
 
 
-# welch_flags' filter: a gene whose estimated p-value lies within this relative
-# distance of alpha, or that has no estimate, is decided by stdtr.  Against
-# stdtr the estimate's relative error was at most 2e-13 (df 0.5 to 1,000,
-# p from 1e-6 to 0.99).
+# welch_flags' band: numpy decides a gene only when its bounds, or else its
+# estimated p-value, lie farther than this (relative) from alpha; stdtr decides
+# the rest.  Against stdtr the estimate's relative error was at most 2e-13 and
+# the bounds held to 3e-13 (df 0.5 to 1,000, p from 1e-6 to 0.99).
 _TAIL_BAND = 1e-8
 # stdtr returns 0 for a p-value below about 2e-308, where the estimate is still
 # right, so near a smaller alpha the band keeps the width it has at this alpha

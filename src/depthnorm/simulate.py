@@ -100,7 +100,8 @@ def generate_dataset(cfg: SimulationConfig, dataset_seed: int) -> tuple[ProbeMat
         values = values ** (cfg.base_power + eps)
     if not np.isfinite(values).all():
         raise DomainError(
-            "the simulated intensities overflow float64; lower delta or the distortion range"
+            "the simulated intensities overflow float64; lower delta or the distortion "
+            "range, or raise df"
         )
     truth = np.zeros(cfg.n_genes, dtype=bool)
     truth[: cfg.affected_genes] = True

@@ -647,15 +647,17 @@ class TestConfigAndErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "study.csv").exists()
 
-    def test_intensities_that_overflow_are_a_data_error(self, tmp_path, capsys):
-        # (3 + 1e100) ** 3 overflows float64: an error naming the cause, not a numpy warning
+    @pytest.mark.parametrize("flag, value", [("--delta", "1e100"), ("--df", "0.01")])
+    def test_intensities_that_overflow_are_a_data_error(self, tmp_path, capsys, flag, value):
+        # (3 + 1e100) ** 3 overflows float64, and so do t draws at df 0.01: an
+        # error naming the cause, not a numpy warning
         argv = ["simulate", "--datasets", "1", "--genes", "5", "--probes-per-gene", "3",
-                "--affected-genes", "1", "--samples", "4", "--delta", "1e100",
+                "--affected-genes", "1", "--samples", "4", flag, value,
                 "--output-dir", tmp_path]
         assert run(*argv) == 1
         assert capsys.readouterr().err == (
             "error: the simulated intensities overflow float64; "
-            "lower delta or the distortion range\n")
+            "lower delta or the distortion range, or raise df\n")
         assert not (tmp_path / "study.csv").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
