@@ -147,7 +147,13 @@ def summarize_genes(pm: ProbeMatrix, method: str = "median_polish") -> Expressio
 
 @dataclass(frozen=True, eq=False)
 class TestResult:
-    """Per-gene Welch statistics with optional ground truth."""
+    """Per-gene Welch statistics with optional ground truth.
+
+    A p-value of 0.0 has two causes, which ``statistic`` tells apart: a
+    row with zero variance in both groups and unequal means has t = +-inf,
+    while a p-value below about 2e-308 that underflowed to 0.0 has a
+    finite t.
+    """
 
     __test__ = False  # not a pytest class despite the name
 
@@ -211,7 +217,10 @@ def two_sample_ttest(
     """Welch two-sample t-test per gene (two-sided).
 
     Degenerate rows follow the limit convention: zero variance in both
-    groups gives p = 1 for equal means and p = 0 for unequal means.
+    groups gives p = 1 for equal means and p = 0 for unequal means, with
+    t = 0 and t = +-inf.  A p-value below about 2e-308 underflows to 0.0
+    as well, but its t is finite, so ``np.isinf(result.statistic)`` picks
+    out the zero-variance rows among those with p = 0.
     """
     t, df, p_limit = _welch(gm, groups)
     p = np.where(np.isnan(p_limit), _two_sided_p(df, t), p_limit)

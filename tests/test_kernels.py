@@ -1,5 +1,7 @@
 """The batched numpy kernels agree block by block with the oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from depthnorm import DomainError, _kernels
 from depthnorm.outlier import _mix_rows
-from depthnorm.pipeline import biweight_location
+from depthnorm.pipeline import ProbeMatrix, biweight_location, median_polish, summarize_genes
+from depthnorm.simulate import SimulationConfig, generate_dataset
 from oracles import biweight_oracle, medpolish_oracle, pairwise_dists_oracle
 
 LAYOUTS = {
@@ -61,6 +64,16 @@ def summaries_in_chunks(monkeypatch, chunk_values, values, starts):
             _kernels.biweight_summaries(values, starts, 5.0, 1e-4, 50, 1e-9))
 
 
+def uneven_bound(starts, n):
+    """A batch bound that splits the blocks of some size into batches of unequal length."""
+    sizes, counts = np.unique(np.diff(starts), return_counts=True)
+    for size, count in zip(sizes, counts):
+        for per_batch in range(2, count):
+            if count % -(-count // per_batch):
+                return int(per_batch * size * n)
+    raise AssertionError("no bound splits this layout unevenly")
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_summaries_keep_their_bits_at_every_chunk_size(monkeypatch, seed):
     rng = np.random.default_rng(seed)
@@ -68,7 +81,8 @@ def test_summaries_keep_their_bits_at_every_chunk_size(monkeypatch, seed):
     values = rng.standard_t(3, size=(starts[-1], 6))
     values[::3] = np.round(values[::3], 1)  # ties, zero MADs, early convergence
     whole = summaries_in_chunks(monkeypatch, 10**9, values, starts)  # one batch per size
-    for chunk_values in (1, 50, 32_768):  # one block per batch, a few, the default
+    # one block per batch, a few, batches of unequal length, the old and the new default
+    for chunk_values in (1, 50, uneven_bound(starts, 6), 32_768, 131_072):
         got = summaries_in_chunks(monkeypatch, chunk_values, values, starts)
         for kernel, a, b in zip(("polish", "biweight"), got, whole):
             assert a.tobytes() == b.tobytes(), (kernel, chunk_values)
@@ -81,6 +95,189 @@ def test_summaries_keep_their_bits_at_every_chunk_size(monkeypatch, seed):
             series = np.ascontiguousarray(block[:, j])[None]
             alone = _kernels.biweight_series(series, 5.0, 1e-4, 50, 1e-9)
             assert alone.tobytes() == biweight[g, j:j + 1].tobytes(), (g, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(genes=st.integers(1, 40), max_size=st.integers(1, 12), n=st.integers(1, 12),
+       bound=st.integers(1, 2_000) | st.sampled_from([32_768, 131_072]),
+       seed=st.integers(0, 2**32 - 1))
+def test_size_groups_split_each_size_into_near_equal_batches(genes, max_size, n, bound, seed):
+    starts = np.concatenate(([0], np.cumsum(np.random.default_rng(seed).integers(
+        1, max_size + 1, size=genes)))).astype(np.int64)
+    sizes = np.diff(starts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_CHUNK_VALUES", bound)
+        batches = list(_kernels._size_groups(starts, n))
+    seen = np.concatenate([chunk for chunk, _ in batches])
+    assert np.array_equal(np.sort(seen), np.arange(genes))  # every gene in exactly one batch
+    for size in np.unique(sizes):
+        lengths = [chunk.size for chunk, _ in batches if sizes[chunk[0]] == size]
+        assert min(lengths) >= 1 and max(lengths) - min(lengths) <= 1, (size, lengths)
+        # within the bound unless one block alone exceeds it, and in as few batches as that allows
+        per_batch = max(1, bound // (size * n))
+        assert max(lengths) <= per_batch, (size, lengths, bound)
+        assert len(lengths) == -(-sum(lengths) // per_batch), (size, lengths, bound)
+    for chunk, rows in batches:
+        assert (sizes[chunk] == sizes[chunk[0]]).all()
+        assert np.array_equal(rows, starts[chunk][:, None] + np.arange(sizes[chunk[0]]))
+
+
+def test_the_default_dataset_takes_two_equal_batches():
+    sizes = np.full(1000, 11)
+    starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    assert [chunk.size for chunk, _ in _kernels._size_groups(starts, 12)] == [500, 500]
+
+
+# values drawn from a small pool, so blocks hold ties, zero-MAD columns and constant rows
+TIE_POOL = [-2.0, -0.5, 0.0, 0.0, 1.0, 1.0, 1.0, 2.5, 3.0, 7.25]
+
+
+@st.composite
+def ragged_cases(draw):
+    n = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=24))
+    starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    values = draw(hnp.arrays(np.float64, (int(starts[-1]), n),
+                             elements=st.sampled_from(TIE_POOL) | st.floats(-50, 50, width=64)))
+    for g in draw(st.lists(st.integers(0, len(sizes) - 1), max_size=3)):
+        values[starts[g]:starts[g + 1]] = draw(st.sampled_from(TIE_POOL))  # a constant block
+    return values, starts
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=ragged_cases(), bound=st.integers(1, 600), polish_iter=st.sampled_from([1, 2, 3, 20]),
+       biweight_iter=st.sampled_from([1, 2, 3, 50]))
+def test_any_bound_gives_the_bits_of_one_batch_and_of_each_block_alone(
+        case, bound, polish_iter, biweight_iter):
+    values, starts = case
+    before = values.copy()
+    results = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk_values in (bound, 10**9):
+            mp.setattr(_kernels, "_CHUNK_VALUES", chunk_values)
+            results[chunk_values] = (
+                _kernels.polish_summaries(values, starts, polish_iter, 0.01),
+                _kernels.biweight_summaries(values, starts, 5.0, 1e-4, biweight_iter, 1e-9))
+    assert np.array_equal(values, before)
+    polish, biweight = results[10**9]
+    assert results[bound][0].tobytes() == polish.tobytes()
+    assert results[bound][1].tobytes() == biweight.tobytes()
+    for g, block in enumerate(blocks_of(values, starts)):
+        overall, _, col, _ = _kernels.polish_blocks(block.copy()[None], polish_iter, 0.01)
+        assert (overall[:, None] + col)[0].tobytes() == polish[g].tobytes(), g
+        alone = _kernels.biweight_series(block.T, 5.0, 1e-4, biweight_iter, 1e-9)
+        assert alone.tobytes() == biweight[g].tobytes(), g
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=ragged_cases(), max_iter=st.sampled_from([0, 1, 2, 3, 20]))
+def test_polish_blocks_of_a_batch_have_the_bits_of_each_block_alone(case, max_iter):
+    # blocks converge at different sweeps, so the batch's residuals come back in block order
+    values, starts = case
+    size = np.diff(starts)[0]
+    genes = np.flatnonzero(np.diff(starts) == size)
+    batch = _kernels.polish_blocks(values[starts[genes][:, None] + np.arange(size)], max_iter, 0.01)
+    for i, g in enumerate(genes):
+        alone = _kernels.polish_blocks(values[starts[g]:starts[g + 1]].copy()[None], max_iter, 0.01)
+        for got, want in zip(batch, alone):
+            assert got[i].tobytes() == want[0].tobytes(), (g, max_iter)
+
+
+# ---------------------------------------------------------------------------
+# the summarizers' bits, pinned
+
+
+def pin_case(name):
+    """The values and block starts of one pinned case."""
+    if name == "default":  # the study's 1,000 x 11 x 12 dataset, logged
+        pm, _ = generate_dataset(SimulationConfig(), 0)
+        return np.log2(pm.values), pm.block_starts()
+    seed, n = {"ragged-5": (101, 5), "ragged-12": (202, 12), "ragged-7": (303, 7)}[name]
+    rng = np.random.default_rng(seed)
+    starts = np.concatenate(([0], np.cumsum(rng.integers(1, 12, size=200)))).astype(np.int64)
+    values = rng.standard_t(3, size=(starts[-1], n))
+    values[::3] = np.round(values[::3], 1)  # ties
+    values[starts[7]:starts[9]] = 2.5  # two constant blocks
+    values[starts[20]:starts[21], 0] = -1.0  # a zero-MAD column
+    return values, starts
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def summarizer_digests(values, starts):
+    sizes = np.diff(starts)
+    fits = []
+    for size in np.unique(sizes):  # every block of a size as one batch, residuals included
+        rows = starts[np.flatnonzero(sizes == size)][:, None] + np.arange(size)
+        fits.extend(_kernels.polish_blocks(values[rows], 20, 0.01))
+    fit = median_polish(values[starts[0]:starts[1] + 10])
+    return {
+        "polish_summaries": digest(_kernels.polish_summaries(values, starts, 20, 0.01)),
+        "biweight_summaries": digest(
+            _kernels.biweight_summaries(values, starts, 5.0, 1e-4, 50, 1e-9)),
+        "polish_blocks": digest(*fits),
+        "median_polish": digest(np.array([fit.overall]), fit.row_effects, fit.col_effects,
+                                fit.residuals),
+    }
+
+
+# sha256 of each summarizer's output, computed with the kernels of sweeps over gathered copies
+SUMMARIZER_PINS = {
+    "ragged-5": {
+        "polish_summaries": "9a1c92d8d58fbef7692de2f82556a5af0aa85451db44bec13f15a4d2050ca4d4",
+        "biweight_summaries": "274d37f06773584a7f31bb96e12f3555abf1192b7ee294e4b33cd0556f1811da",
+        "polish_blocks": "52c96853e1f3aa67770b28c2fb001baa1e4e3770597f1fa47b758159e8dd587f",
+        "median_polish": "519a92a938a9bdc2f6a2dd166bf636c5811c3d218fdf71f020723d03a20a31e7",
+    },
+    "ragged-12": {
+        "polish_summaries": "053e6d9e8ee2568c634b665c49d6846cb6d789158e622422acb49e5b4bd81898",
+        "biweight_summaries": "afdb8d7a9e02bc44909e5c2c633d6936d8734270f6afb0b7c13eb7e33e22aead",
+        "polish_blocks": "f48bb91cd890b08f1d5e7bd4f4dcf49dfa990e7105fe97289f6db414ff711d81",
+        "median_polish": "b0d49f4c05a9dac82535b7cba36534d7463cb1d56d82952068e11c9124d0b404",
+    },
+    "ragged-7": {
+        "polish_summaries": "5742feb767d3cd898db5708811549c8dbd5574f1bdb8ab598d838daef5b7dca6",
+        "biweight_summaries": "d1c87fd5e763a2cfc32ba55cd300f58740711c5cc0d495ca0efd20744f8effba",
+        "polish_blocks": "d629147f167b123740eb2a6f557ac193c3efd774bbb4d13868f2168f37f2528a",
+        "median_polish": "b00aec43675464d01e15468dbf795d249d8f4bb7abf25c083b2d5e25bbbc0282",
+    },
+    "default": {
+        "polish_summaries": "b3d802fc82d7b3a9f3be09f29558cd573cf54d2c6a135cae39e82f9ae80c183c",
+        "biweight_summaries": "a4b967155a053aa6de57abfaa1d6ce5f94c2a7fa5211e7d8bdfe99a1cef58811",
+        "polish_blocks": "623d95eda7f533c27d7d8f15347a385413cfefec510da930c39e90fedcbb33e6",
+        "median_polish": "efe3b81757313126332b3f82ff2f8f19a571e459b1cb44ec9d4c4ee598cf6574",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(SUMMARIZER_PINS))
+def test_summarizers_keep_their_pinned_bits(name):
+    assert summarizer_digests(*pin_case(name)) == SUMMARIZER_PINS[name]
+
+
+def test_summarizers_leave_their_inputs_unchanged():
+    values, starts = pin_case("ragged-7")
+    block = values[starts[3]:starts[4] + 6]
+    series = np.asfortranarray(values[:40, :5].T)  # rows the kernel copies, whatever their layout
+    pm = ProbeMatrix(values, np.repeat(np.arange(starts.shape[0] - 1), np.diff(starts)))
+    assert pm.values is values  # the probe matrix reads the caller's array in place
+    before = values.copy()
+    calls = [
+        lambda: _kernels.biweight_series(series, 5.0, 1e-4, 50, 1e-9),
+        lambda: biweight_location(values[:, 2]),
+        lambda: median_polish(block),
+        lambda: summarize_genes(pm, "median_polish"),
+        lambda: summarize_genes(pm, "biweight"),
+    ]
+    for call in calls:
+        call()
+        assert np.array_equal(values, before)
+        assert np.array_equal(series, before[:40, :5].T)
 
 
 @pytest.mark.parametrize("x", [

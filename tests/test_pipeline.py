@@ -218,6 +218,15 @@ class TestWelch:
         assert tr.p_value[0] == 0.0
         assert np.isinf(tr.statistic[0])
 
+    def test_underflowed_p_value_has_a_finite_statistic(self):
+        # groups one ulp apart in spread and 1 apart in mean: t = -8.5e15 at df 24, whose
+        # tail lies below the smallest double, so p is 0.0 as for a zero-variance row
+        k = np.array([0, 1, -1, 2, -2, 0, 1, -1, 2, -2, 0, 1, -1])
+        gm = ExpressionMatrix(np.concatenate([k * 2.0**-52, 1.0 + k * 2.0**-52])[None])
+        tr = two_sample_ttest(gm, ClassPartition((1,) * 13 + (2,) * 13))
+        assert tr.p_value[0] == 0.0
+        assert np.isfinite(tr.statistic[0]) and tr.statistic[0] < -1e15
+
     def test_swap_symmetry(self):
         rng = np.random.default_rng(11)
         gm = ExpressionMatrix(rng.normal(size=(40, 10)))

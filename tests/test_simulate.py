@@ -158,7 +158,7 @@ def test_per_dataset_counts_match_the_exact_test_at_one_and_four_threads():
 
 def test_one_dataset_peak_memory_at_the_default_sizes():
     # the 1,000 x 11 x 12 dataset is 1.06 MB a matrix: the prenormalized and logged
-    # matrices, the pipeline's working copies and bounded summarizer batches fit in 6 MB
+    # matrices, the pipeline's working copies and bounded summarizer batches fit in 5 MB
     cfg = SimulationConfig()
     _one_dataset(cfg, 0, ALL_METHODS)  # warm lazy set-up (numpy's first calls)
     tracemalloc.start()
@@ -167,7 +167,23 @@ def test_one_dataset_peak_memory_at_the_default_sizes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20, peak / 2**20
+    assert peak < 5 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("method, bound_mb", [("biweight", 1.85), ("median_polish", 1.7)])
+def test_summarizer_peak_memory_at_the_default_sizes(method, bound_mb):
+    # two batches of 500 genes (0.5 MB each): one gathered batch and one scratch array
+    # of its shape at a time, the 1,000 x 12 result and the batch's per-series vectors
+    pm, _ = generate_dataset(SimulationConfig(), 0)
+    pm = ProbeMatrix.uniform(np.log2(pm.values), 11)
+    summarize_genes(pm, method)  # warm lazy set-up
+    tracemalloc.start()
+    try:
+        summarize_genes(pm, method)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20, peak / 2**20
 
 
 class TestRunStudy:
