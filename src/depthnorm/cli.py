@@ -147,11 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--threads", type=_thread_count, default=_usable_cpus(),
                      help="worker threads (default: the usable CPUs); the artifacts do not "
                           "depend on it")
-    cal.add_argument("--target-rate", type=float, default=0.0001,
-                     help="each replicate keeps the (1 - rate) quantile of its n per-column "
-                          "ratios; the outermost pair's two members share the largest ratio, so "
-                          "every rate at or below 1/(n - 1) gives the same G (the default "
-                          "changes nothing for n <= 10,000)")
     cal.add_argument("--replicates", type=int, default=100)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -235,17 +230,10 @@ def _cmd_depth(args) -> int:
     return 0
 
 
-def _calibrate(args, out: Path, n: int, n_features: int, cov) -> TukeyCalibration:
+def _calibrate(args, out: Path, n_features: int, cov) -> TukeyCalibration:
     """Monte-Carlo calibration from the command's flags, saved as calibration.json."""
-    cal = calibrate_g(
-        n=n,
-        n_features=n_features,
-        cov=cov,
-        target_rate=args.target_rate,
-        replicates=args.replicates,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    cal = calibrate_g(cov=cov, n_features=n_features, replicates=args.replicates,
+                      seed=args.seed, threads=args.threads)
     (out / "calibration.json").write_text(cal.to_json())
     return cal
 
@@ -260,13 +248,13 @@ def _cmd_outliers(args) -> int:
         cal, cov = TukeyCalibration.fixed(args.g_factor), None
     else:
         cal, cov = None, robust_covariance(m)
-    n, n_features = m.n_samples, m.n_features
+    n_features = m.n_features
     # the screens hold all the fence needs from the data: a screen error ends the
     # run before calibration, and the matrix is freed before calibration allocates
     screens = screen_outliers(m, labels)
     del m
     if cal is None:
-        cal = _calibrate(args, out, n, n_features, cov)
+        cal = _calibrate(args, out, n_features, cov)
     reports = [s.report(cal.g_factor, args.both_members) for s in screens]
     tables = _tables(reports, Path(args.input).stem)
     (out / "outliers.txt").write_text(tables + "\n")
@@ -282,7 +270,7 @@ def _cmd_calibrate(args) -> int:
         raise DataError("calibrate needs both --samples and --features")
     if args.samples < 2 or args.features < 1:
         raise DataError("calibrate needs --samples >= 2 and --features >= 1")
-    cal = _calibrate(args, out, args.samples, args.features, np.eye(args.samples))
+    cal = _calibrate(args, out, args.features, np.eye(args.samples))
     print(f"g_factor = {cal.g_factor!r} ({out / 'calibration.json'})")
     return 0
 

@@ -55,10 +55,13 @@ def robust_iqr(bs: BorderSequence) -> float:
 
 @dataclass(frozen=True)
 class TukeyCalibration:
-    """Monte-Carlo record of the fence multiplier: the replicate quantiles it is the median of."""
+    """Monte-Carlo record of the fence multiplier: the replicate statistics it is the median of.
+
+    Each replicate's statistic is its largest per-column ratio, the 1.0
+    quantile of the ratios, as ``per_replicate_quantiles`` names it.
+    """
 
     per_replicate_quantiles: tuple[float, ...]
-    target_rate: float = 0.0001
     seed: int = 0
 
     def __post_init__(self):
@@ -67,8 +70,6 @@ class TukeyCalibration:
         # a multiplier of 0 or less flags every pair apart at all; inf flags none
         if not 0.0 < self.g_factor < np.inf:
             raise DomainError(f"g_factor must be finite and positive, got {self.g_factor!r}")
-        if not 0.0 < self.target_rate < 1.0:
-            raise DomainError("target_rate must lie in (0, 1)")
 
     @property
     def g_factor(self) -> float:
@@ -82,7 +83,6 @@ class TukeyCalibration:
         return json.dumps(
             {
                 "g_factor": self.g_factor,
-                "target_rate": self.target_rate,
                 "replicates": self.replicates,
                 "seed": self.seed,
                 "per_replicate_quantiles": list(self.per_replicate_quantiles),
@@ -203,7 +203,7 @@ def _mix_rows(factor: np.ndarray, buf: np.ndarray, tmp: np.ndarray) -> None:
         buf[:, a:b] = out
 
 
-def _replicate_quantile(rng, factor, target_rate, buf, tmp) -> float:
+def _replicate_quantile(rng, factor, buf, tmp) -> float:
     # sample-major: one row of buf per surrogate curve, covariance factor @ factor.T
     rng.standard_normal(out=buf)
     _mix_rows(factor, buf, tmp)
@@ -221,37 +221,36 @@ def _replicate_quantile(rng, factor, target_rate, buf, tmp) -> float:
         raise DegenerateScaleError(
             f"surrogate median border distance {iqr!r} is round-off; degenerate covariance"
         )
-    ratios = bs.distances()[bs.border_index - 1] / iqr
-    return float(np.quantile(ratios, 1.0 - target_rate))
+    # borders come farthest first, and a positive iqr keeps the order: the largest ratio
+    return float(bs.borders[0].distance / iqr)
 
 
 def calibrate_g(
-    n: int,
-    n_features: int,
     cov: np.ndarray,
-    target_rate: float = 0.0001,
+    n_features: int,
     replicates: int = 100,
     seed: int = 0,
     threads: int = 1,
 ) -> TukeyCalibration:
     """Estimate the fence multiplier from matched normal surrogates.
 
-    Each replicate draws ``n`` surrogate curves of ``n_features`` values,
-    one row each, as ``factor @ z`` for a standard normal ``z`` (n x
-    n_features) and ``factor @ factor.T == cov``; so each feature is an
+    ``cov`` is the n x n inter-sample covariance.  Each replicate draws
+    n surrogate curves of ``n_features`` values, one row each, as
+    ``factor @ z`` for a standard normal ``z`` (n x n_features) and
+    ``factor @ factor.T == cov``; so each feature is an
     n-variate normal with covariance ``cov``.  The rows are sorted in
     place (the column-sort of real data), their distances come from one
     Gram product (``_kernels.centred_gram_dists``, whose round-off is far
     below the Monte-Carlo spread of G), and ``extract_borders`` peels
-    them as it peels real data.  A replicate records the empirical
-    (1 - target_rate) quantile of the n per-column ratios (border
-    distance / median border distance); the calibrated multiplier is the
-    median of those quantiles.
+    them as it peels real data.  A replicate records the outermost
+    border's distance over the median border distance (the largest of
+    the n per-column ratios); the calibrated multiplier is the median of
+    those records.
 
-    The two members of a border share one ratio, so the two largest of
-    the n ratios are equal and every ``target_rate`` at or below 1/(n - 1)
-    returns the largest ratio: the default 1e-4 changes nothing for
-    n <= 10,000.
+    Two values are exact: n = 2 gives G = 1.0 (the one border over
+    itself) and n = 3 gives G = 2.0 (the border over the median of it
+    and the singleton's 0).  A border's distance never exceeds G times
+    the median there, so the calibrated fence never flags at n <= 3.
 
     Memory: each of the ``min(threads, replicates)`` workers owns one
     n x n_features buffer (8 * n * n_features bytes) and an n x 448
@@ -268,8 +267,6 @@ def calibrate_g(
     """
     if replicates < 1:
         raise DomainError("need at least one replicate")
-    if not 0.0 < target_rate < 1.0:
-        raise DomainError("target_rate must lie in (0, 1)")
     if n_features < 1:
         raise DimensionError("need at least one feature per surrogate curve")
     if seed < 0:
@@ -277,8 +274,9 @@ def calibrate_g(
     if threads < 1:
         raise DomainError(f"threads must be at least 1, got {threads}")
     cov = np.asarray(cov, dtype=np.float64)
-    if cov.shape != (n, n):
-        raise DimensionError(f"covariance must be {n}x{n}, got {cov.shape}")
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or len(cov) < 2:
+        raise DimensionError(f"covariance must be n x n with n >= 2, got shape {cov.shape}")
+    n = len(cov)
     factor = _normal_factor(cov)
     children = np.random.SeedSequence(seed).spawn(replicates)
     workers = min(threads, replicates)
@@ -292,14 +290,13 @@ def calibrate_g(
         # at most `workers` tasks run at once, so a pair is always free
         buffers = free.pop()
         try:
-            return _replicate_quantile(np.random.default_rng(child), factor, target_rate,
-                                       *buffers)
+            return _replicate_quantile(np.random.default_rng(child), factor, *buffers)
         finally:
             free.append(buffers)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         quantiles = list(pool.map(one, children))
-    return TukeyCalibration(tuple(quantiles), target_rate, seed)
+    return TukeyCalibration(tuple(quantiles), seed)
 
 
 # samples a flagged pair contributes under each rule

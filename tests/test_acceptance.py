@@ -38,7 +38,7 @@ from oracles import borders_oracle, tukey_fence_flags_extremes
 
 TEN_POINT_SAMPLE = [1.3, 2.1, 2.8, 2.9, 3.2, 3.9, 4.1, 4.8, 4.9, 5.3]
 
-CAL_SETTINGS = dict(n=12, n_features=2000, target_rate=1e-4, replicates=100, seed=1729)
+CAL_SETTINGS = dict(n_features=2000, replicates=100, seed=1729)
 
 STUDY_CFG = SimulationConfig(n_datasets=20, seed=1729)
 STUDY_DELTAS = (0.0, 0.25, 0.5, 1.0, 2.0)

@@ -159,7 +159,7 @@ SEEDED_ARTIFACTS = {
     },
     ("outliers", "--classes", "1,2,3,1,2,3,1,1,2,1,3", "--replicates", "20"): {
         "calibration.json":
-            "25be5413d5f3e7e10b45e229474b7558ee5586ade404a4aa881aac45f33af042",
+            "b539fac4988bbdc8d167b20ece4e42fd4b71b37be3bdac7458be7ef86d94e3d1",
         "outliers.csv":
             "066085fa229e4a03221b53fbbc845a8bdf229a42fe8e04747c69b61e4c822089",
         "outliers.json":
@@ -176,6 +176,19 @@ def test_seeded_matrix_artifacts_keep_their_bytes(tmp_path, argv):
     assert run(*argv, "--input", _seeded_matrix(tmp_path), "--output-dir", out) == 0
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert written == SEEDED_ARTIFACTS[argv]
+
+
+def test_calibration_json_is_the_former_file_minus_its_rate_line(tmp_path):
+    # this run once wrote a target_rate line after g_factor (sha256 below); put
+    # back, it gives those bytes, so G and every replicate value keep their bits
+    argv = ("outliers", "--classes", "1,2,3,1,2,3,1,1,2,1,3", "--replicates", "20")
+    out = tmp_path / "out"
+    assert run(*argv, "--input", _seeded_matrix(tmp_path), "--output-dir", out) == 0
+    lines = (out / "calibration.json").read_text().split("\n")
+    assert lines[1].startswith('  "g_factor": ')
+    former = "\n".join(lines[:2] + ['  "target_rate": 0.0001,'] + lines[2:])
+    assert hashlib.sha256(former.encode()).hexdigest() == (
+        "25be5413d5f3e7e10b45e229474b7558ee5586ade404a4aa881aac45f33af042")
 
 
 # sha256 of study.csv and study.txt; the method order sets the order the references are built in
@@ -417,9 +430,12 @@ def test_the_only_function_level_import_is_scipy_special():
     assert found == [("pipeline.py", "_two_sided_p", "scipy.special")]
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_commands() -> list[list[str]]:
     """The argv of each ``depthnorm`` line in the README's sh blocks, continuations joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text()
     lines = [ln for block in re.findall(r"```sh\n(.*?)```", text, re.S)
              for ln in block.replace("\\\n", " ").splitlines()]
     return [shlex.split(ln)[1:] for ln in lines if ln.startswith("depthnorm ")]
@@ -430,6 +446,18 @@ def test_readme_commands_parse():
     assert {argv[0] for argv in commands} == set(cli._COMMANDS)
     for argv in commands:
         cli.parse_args(argv)  # a usage error exits 2
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    [block] = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    values = np.random.default_rng(23).lognormal(3.0, 1.0, size=(300, 8))
+    np.savetxt(tmp_path / "expr.csv", values, fmt="%.17g", delimiter=",")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["normalized"].values.shape == (300, 8)
+    assert [r.scope for r in namespace["reports"]] == ["global"]
+    assert namespace["cal"].replicates == 100
 
 
 class TestSimulateCommand:
@@ -594,6 +622,13 @@ class TestConfigAndErrors:
             run("normalize", "--input", matrix_file, "--config")
         assert exc.value.code == 2
 
+    def test_removed_target_rate_flag_is_a_usage_error(self, matrix_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("outliers", "--input", matrix_file, "--target-rate", "0.01",
+                "--output-dir", tmp_path)
+        assert exc.value.code == 2
+        assert "--target-rate" in capsys.readouterr().err
+
     def test_unknown_config_key(self, matrix_file, tmp_path):
         cfg = tmp_path / "run.toml"
         cfg.write_text("replicas = 4\n")
@@ -717,6 +752,7 @@ class TestConfigValues:
         ("outliers", "classes = 1,1,2,2", 0, ("classes", "1,1,2,2")),
         ("normalize", "boxplot_svg = no", 1, "{cfg}:2: boxplot_svg takes true or false"),
         ("normalize", "boxplot_svg = yes", 1, "{cfg}:2: boxplot_svg takes true or false"),
+        ("outliers", "target-rate = 0.01", 1, "{cfg}:2: unknown key 'target-rate' for 'outliers'"),
     ])
     def test_value_is_checked_as_if_typed(
         self, matrix_file, tmp_path, monkeypatch, capsys, sub, line, code, expected

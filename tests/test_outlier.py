@@ -74,92 +74,120 @@ class TestRobustIqr:
 
 class TestCalibration:
     def test_single_replicate_is_its_own_median(self):
-        cal = calibrate_g(6, 40, np.eye(6), target_rate=0.01, replicates=1, seed=4)
+        cal = calibrate_g(np.eye(6), 40, replicates=1, seed=4)
         assert cal.g_factor == cal.per_replicate_quantiles[0]
 
-    def test_target_rate_near_one_flags_everything(self):
-        cal = calibrate_g(12, 60, np.eye(12), target_rate=0.999999, replicates=5, seed=4)
-        assert cal.g_factor <= 1.0
-
     def test_deterministic_and_thread_invariant(self):
-        kw = dict(target_rate=1e-4, replicates=12, seed=11)
-        a = calibrate_g(8, 100, np.eye(8), **kw)
-        b = calibrate_g(8, 100, np.eye(8), **kw)
-        c = calibrate_g(8, 100, np.eye(8), threads=4, **kw)
+        kw = dict(replicates=12, seed=11)
+        a = calibrate_g(np.eye(8), 100, **kw)
+        b = calibrate_g(np.eye(8), 100, **kw)
+        c = calibrate_g(np.eye(8), 100, threads=4, **kw)
         assert a == b == c
-        assert a != calibrate_g(8, 100, np.eye(8), target_rate=1e-4, replicates=12, seed=12)
+        assert a != calibrate_g(np.eye(8), 100, replicates=12, seed=12)
 
     def test_thread_invariant_under_frequent_switches(self):
         # more workers than cores, switching often: two replicates sharing a buffer would differ
-        kw = dict(target_rate=0.01, replicates=40, seed=5)
-        one = calibrate_g(6, 300, np.eye(6), threads=1, **kw)
+        kw = dict(replicates=40, seed=5)
+        one = calibrate_g(np.eye(6), 300, threads=1, **kw)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            many = calibrate_g(6, 300, np.eye(6), threads=8, **kw)
+            many = calibrate_g(np.eye(6), 300, threads=8, **kw)
         finally:
             sys.setswitchinterval(interval)
         assert many == one
 
     # G <= 448 or a multiple of 16: the shapes where the blocked mix has every bit of factor @ z
-    @pytest.mark.parametrize("n, g", [(3, 1), (5, 7), (12, 448), (24, 1344), (64, 896),
-                                      (24, 20000)])
+    @pytest.mark.parametrize("n, g", [(2, 3), (3, 1), (4, 9), (5, 7), (11, 300), (12, 448),
+                                      (24, 1344), (64, 896), (24, 20000), (200, 160)])
     def test_replicate_on_a_used_buffer_matches_the_allocating_oracle(self, n, g):
         rng = np.random.default_rng(n * g)
         a = rng.standard_normal((n, n))
-        factor = _normal_factor(a @ a.T / n + np.eye(n))
+        self._check_replicates_against_oracle(_normal_factor(a @ a.T / n + np.eye(n)), g)
+
+    def test_replicate_matches_the_oracle_on_a_data_covariance(self):
+        # unequal column scales and rank correlations, as `outliers` estimates them
+        values = np.random.default_rng(9).lognormal(size=(300, 8)) * np.arange(1.0, 9.0)
+        self._check_replicates_against_oracle(
+            _normal_factor(robust_covariance(ExpressionMatrix(values))), 2000)
+
+    @staticmethod
+    def _check_replicates_against_oracle(factor, g):
+        # at rate 1e-4 the oracle's quantile is the largest of its n <= 10,000 ratios
+        n = len(factor)
         buf, tmp = np.empty((n, g)), np.empty(n * min(g, 448))
-        _replicate_quantile(np.random.default_rng(1), factor, 0.05, buf, tmp)  # leaves data
+        _replicate_quantile(np.random.default_rng(1), factor, buf, tmp)  # leaves data
         for seed in (2, 3):
-            got = _replicate_quantile(np.random.default_rng(seed), factor, 0.05, buf, tmp)
-            want = replicate_quantile_oracle(np.random.default_rng(seed), n, g, factor, 0.05)
+            got = _replicate_quantile(np.random.default_rng(seed), factor, buf, tmp)
+            want = replicate_quantile_oracle(np.random.default_rng(seed), n, g, factor, 1e-4)
             assert got.hex() == want.hex(), seed
+
+    @pytest.mark.parametrize("n, g_factor", [(2, 1.0), (3, 2.0)])
+    def test_two_and_three_samples_calibrate_exactly(self, n, g_factor):
+        # n = 2: the one border over itself; n = 3: the border over the median of it
+        # and the singleton's 0.  So the calibrated fence never flags at n <= 3.
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            a = rng.standard_normal((n, n))
+            cal = calibrate_g(a @ a.T + 0.1 * np.eye(n), int(rng.integers(1, 500)),
+                              replicates=5, seed=int(rng.integers(1000)))
+            assert cal.per_replicate_quantiles == (g_factor,) * 5 and cal.g_factor == g_factor
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3,), (0, 0), (1, 1)])
+    def test_covariance_that_is_not_n_by_n_with_two_samples_is_a_dimension_error(self, shape):
+        with pytest.raises(DimensionError, match="n x n with n >= 2"):
+            calibrate_g(np.ones(shape), 30, replicates=2)
+
+    def test_leaves_the_callers_covariance_unchanged(self):
+        cov = np.eye(5)
+        cov[0, 1] = cov[1, 0] = 0.999
+        cov[1, 2] = cov[2, 1] = 0.999
+        cov[0, 2] = cov[2, 0] = -0.9  # not PSD: the repair runs too
+        before = cov.copy()
+        calibrate_g(cov, 50, replicates=2, seed=0)
+        assert np.array_equal(cov, before)
 
     def test_peak_memory_is_one_buffer_per_worker(self):
         n, g = 24, 20000
         buffer_bytes = 8 * n * g
-        calibrate_g(n, g, np.eye(n), replicates=4, seed=1, threads=2)  # warm lazy set-up
+        calibrate_g(np.eye(n), g, replicates=4, seed=1, threads=2)  # warm lazy set-up
         tracemalloc.start()
         try:
-            calibrate_g(n, g, np.eye(n), replicates=6, seed=1, threads=2)
+            calibrate_g(np.eye(n), g, replicates=6, seed=1, threads=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * buffer_bytes, peak / buffer_bytes
 
     def test_json_roundtrip(self):
-        cal = calibrate_g(6, 30, np.eye(6), target_rate=0.01, replicates=3, seed=1)
+        cal = calibrate_g(np.eye(6), 30, replicates=3, seed=1)
         d = json.loads(cal.to_json())
-        assert list(d) == ["g_factor", "target_rate", "replicates", "seed",
-                           "per_replicate_quantiles"]
+        assert list(d) == ["g_factor", "replicates", "seed", "per_replicate_quantiles"]
         assert d["g_factor"] == cal.g_factor == float(np.median(d["per_replicate_quantiles"]))
-        assert (d["target_rate"], d["replicates"], d["seed"]) == (0.01, 3, 1)
+        assert (d["replicates"], d["seed"]) == (3, 1)
         assert d["replicates"] == cal.replicates
         assert tuple(d["per_replicate_quantiles"]) == cal.per_replicate_quantiles
 
     def test_fixed_multiplier_is_one_replicate(self):
         cal = TukeyCalibration.fixed(1.5)
         assert (cal.g_factor, cal.replicates) == (1.5, 1)
-        assert json.loads(cal.to_json()) == {"g_factor": 1.5, "target_rate": 0.0001,
-                                             "replicates": 1, "seed": 0,
+        assert json.loads(cal.to_json()) == {"g_factor": 1.5, "replicates": 1, "seed": 0,
                                              "per_replicate_quantiles": [1.5]}
 
     def test_validates_inputs(self):
         with pytest.raises(DomainError):
-            calibrate_g(6, 30, np.eye(6), target_rate=0.0)
-        with pytest.raises(DomainError):
-            calibrate_g(6, 30, np.eye(6), replicates=0)
+            calibrate_g(np.eye(6), 30, replicates=0)
         with pytest.raises(DomainError, match="need at least one replicate"):
             TukeyCalibration(())
         with pytest.raises(DomainError, match="seed must be non-negative"):
-            calibrate_g(6, 30, np.eye(6), replicates=2, seed=-1)
+            calibrate_g(np.eye(6), 30, replicates=2, seed=-1)
         for threads in (0, -2):
             with pytest.raises(DomainError, match="threads must be at least 1"):
-                calibrate_g(6, 30, np.eye(6), replicates=2, threads=threads)
+                calibrate_g(np.eye(6), 30, replicates=2, threads=threads)
 
     def test_no_features_is_a_dimension_error(self):
         with pytest.raises(DimensionError):
-            calibrate_g(6, 0, np.eye(6), replicates=2)
+            calibrate_g(np.eye(6), 0, replicates=2)
 
     @pytest.mark.parametrize("scale, error, match", [
         (1e308, DataError, "covariance overflows"),  # cov + cov.T overflows
@@ -168,19 +196,19 @@ class TestCalibration:
     ])
     def test_overflow_is_a_data_error_without_a_warning(self, scale, error, match):
         with pytest.raises(error, match=match):
-            calibrate_g(6, 2000, np.eye(6) * scale, replicates=2)
+            calibrate_g(np.eye(6) * scale, 2000, replicates=2)
 
     def test_non_psd_covariance_is_repaired(self):
         cov = np.eye(5)
         cov[0, 1] = cov[1, 0] = 0.999
         cov[1, 2] = cov[2, 1] = 0.999
         cov[0, 2] = cov[2, 0] = -0.9  # jointly infeasible: repair kicks in
-        cal = calibrate_g(5, 50, cov, replicates=2, seed=0)
+        cal = calibrate_g(cov, 50, replicates=2, seed=0)
         assert np.isfinite(cal.g_factor)
 
     def test_zero_covariance_is_a_degenerate_scale(self):
         with pytest.raises(DegenerateScaleError):
-            calibrate_g(4, 50, np.zeros((4, 4)))
+            calibrate_g(np.zeros((4, 4)), 50)
 
     @pytest.mark.parametrize("g", [6, 2000])
     def test_rank_deficient_covariance_is_a_degenerate_scale(self, g):
@@ -188,7 +216,7 @@ class TestCalibration:
         col = np.arange(1.0, g + 1)[:, None]
         cov = robust_covariance(ExpressionMatrix(np.tile(col, (1, 4))))
         with pytest.raises(DegenerateScaleError, match="round-off"):
-            calibrate_g(4, g, cov, replicates=3)
+            calibrate_g(cov, g, replicates=3)
 
     def test_nearly_singular_covariances_still_calibrate(self):
         rng = np.random.default_rng(8)
@@ -198,7 +226,7 @@ class TestCalibration:
         vals[:, 1] = vals[:, 0]  # two identical columns out of four
         for cov in (strong, robust_covariance(ExpressionMatrix(vals))):
             for g in (6, 2000):
-                cal = calibrate_g(4, g, cov, replicates=3, seed=1)
+                cal = calibrate_g(cov, g, replicates=3, seed=1)
                 assert np.isfinite(cal.g_factor) and cal.g_factor > 0
 
 
