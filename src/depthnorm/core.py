@@ -346,33 +346,69 @@ def load_matrix(path, fmt: Optional[str] = None, has_header: Optional[bool] = No
 
 
 # save_matrix formats a block of about this many cells at a time
-_WRITE_CELLS = 1 << 16
+_WRITE_CELLS = 1 << 14
+
+# the longest repr of a finite double, such as "-2.2250738585072014e-308"
+_TEXT_WIDTH = 24
+
+
+def _distinct_bits(values: np.ndarray) -> Optional[np.ndarray]:
+    """The cells' distinct bits ascending, or None once they fill more than half the cells.
+
+    One buffer holds the bits found so far, ascending, and room for one
+    column after them.  Each column is copied into that tail and sorted; a
+    stable sort (numpy's timsort) then merges the two ascending runs in
+    one pass, and the repeats are squeezed out in place, a column's length
+    at a time.  No array larger than the buffer, half the cells plus one
+    column, is made.
+    """
+    g, n = values.shape
+    bits = values.view(np.int64)
+    found = np.empty(g * n // 2 + g, dtype=np.int64)
+    count = 0
+    for j in range(n):
+        merged = found[:count + g]
+        merged[count:] = bits[:, j]
+        merged[count:].sort()
+        merged.sort(kind="stable")
+        new = np.empty(merged.size, dtype=bool)
+        new[0] = True
+        np.not_equal(merged[1:], merged[:-1], out=new[1:])
+        count = int(np.count_nonzero(new))
+        if count < merged.size:
+            kept = 0
+            for at in range(0, merged.size, g):
+                part = merged[at:at + g][new[at:at + g]]
+                merged[kept:kept + part.size] = part
+                kept += part.size
+        if 2 * count > g * n:
+            return None
+    return found[:count].copy()
 
 
 def _text_table(values: np.ndarray):
-    """(repr of each distinct value, the distinct values' bits ascending).
+    """(the distinct values' texts, their lengths, the distinct values' bits ascending).
 
     Values are told apart by bit pattern, so ``-0.0`` stays apart from
-    ``0.0``.  One sort of the cells' bits gives the distinct values; the
-    sorted copy is freed before the texts are made, a block at a time.
-    (None, None) when there are more distinct values than half the cells:
-    the table's strings, about 80 bytes per distinct value, would then
-    hold over six matrix copies, and formatting each block's cells
-    directly is about as fast (``save_matrix_branches`` in BENCH_16.json
-    times both ways).
+    ``0.0``.  Each text is a repr in ASCII, NUL-padded to a row of
+    ``_TEXT_WIDTH`` bytes and two more for the separator that follows it
+    in a file; the reprs are made a chunk at a time.  (None, None, None)
+    when there are more distinct values than half the cells: the table
+    would then hold over two matrix copies, and formatting each block's
+    cells directly is about as fast (``save_matrix_branches`` in
+    BENCH_16.json times both ways).
     """
-    ranked = np.sort(values.view(np.int64), axis=None)
-    new = np.not_equal(ranked[1:], ranked[:-1])
-    count = 1 + int(np.count_nonzero(new))
-    if 2 * count > ranked.size:
-        return None, None
-    distinct = np.concatenate((ranked[:1], ranked[1:][new]))
-    del ranked, new
+    distinct = _distinct_bits(values)
+    if distinct is None:
+        return None, None, None
     floats = distinct.view(np.float64)
-    texts = np.empty(count, dtype=object)
-    for at in range(0, count, _WRITE_CELLS):
-        texts[at:at + _WRITE_CELLS] = [repr(v) for v in floats[at:at + _WRITE_CELLS].tolist()]
-    return texts, distinct
+    table = np.zeros(distinct.size, dtype=f"S{_TEXT_WIDTH + 2}")
+    lengths = np.empty(distinct.size, dtype=np.uint8)
+    for at in range(0, distinct.size, _WRITE_CELLS):
+        chunk = table[at:at + _WRITE_CELLS]
+        chunk[:] = [repr(v) for v in floats[at:at + _WRITE_CELLS].tolist()]
+        lengths[at:at + _WRITE_CELLS] = np.char.str_len(chunk)
+    return table.view(np.uint8).reshape(-1, _TEXT_WIDTH + 2), lengths, distinct
 
 
 def _table_index(block: np.ndarray, distinct: np.ndarray) -> np.ndarray:
@@ -388,6 +424,23 @@ def _table_index(block: np.ndarray, distinct: np.ndarray) -> np.ndarray:
     return index
 
 
+def _rows_text(index: np.ndarray, table: np.ndarray, lengths: np.ndarray, n: int,
+               delimiter: str) -> np.ndarray:
+    """The bytes of whole rows of ``n`` cells, given in C order as indices into the table.
+
+    Each cell's padded row of the table is gathered, the delimiter (or
+    CRLF at a row's end) is put right after its text, and the NUL bytes
+    left are dropped: a repr holds none.
+    """
+    text = np.take(table, index, axis=0)
+    at = np.arange(0, text.size, text.shape[1]) + lengths[index]
+    flat = text.reshape(-1)
+    flat[at] = ord(delimiter)
+    flat[at[n - 1::n]] = ord("\r")
+    flat[at[n - 1::n] + 1] = ord("\n")
+    return flat[flat != 0]
+
+
 def save_matrix(m: ExpressionMatrix, path) -> None:
     """Write a matrix that :func:`load_matrix` reads back exactly.
 
@@ -399,12 +452,15 @@ def save_matrix(m: ExpressionMatrix, path) -> None:
     ``_WRITE_CELLS`` cells at a time.  When a distinct value fills two
     cells or more on average, as in a quantile-normalized matrix (at most
     one value per row, so even at two columns), each distinct value is
-    formatted once into a table, and each block looks its cells up in it;
-    otherwise each block formats its own cells and no table is built.
-    Beyond the matrix, the peak is one sorted copy of the cells' bits, for
-    a moment, or the table when it is larger: about 80 bytes per distinct
-    value, which puts the peak near six matrix copies for a two-column
-    quantile-normalized matrix and under one from 12 columns up.
+    formatted once into a table of ASCII texts, and each block's bytes are
+    gathered from it with numpy, with no Python object per cell; otherwise
+    each block formats its own cells and no table is built.  Beyond the
+    matrix, the peak is the buffer that finds the distinct values a column
+    at a time (half the cells plus one column, of which only the values
+    found and one column are ever written), or the table when it is
+    larger: 35 bytes per distinct value (its bits, text and length),
+    about 2.2 matrix copies for a two-column quantile-normalized matrix
+    and 0.2 at 24 columns.
     """
     for s in m.sample_ids:
         if len(s) > csv.field_size_limit():
@@ -412,20 +468,27 @@ def save_matrix(m: ExpressionMatrix, path) -> None:
     delimiter = _delimiter(path, None)
     values = m.values
     g, n = values.shape
-    texts, distinct = _text_table(values)
+    table, lengths, distinct = _text_table(values)
     step = max(1, _WRITE_CELLS // n)
     with open(path, "w", newline="") as fh:
         if m.sample_ids != default_sample_ids(n):
             write_rows(fh, [m.sample_ids], delimiter)
         # the repr of a finite float holds no delimiter, quote or line break,
         # so csv would have written every data cell unquoted
-        for at in range(0, g, step):
-            block = values[at:at + step]
-            if texts is None:
-                rows = (map(repr, row) for row in block.tolist())
-            else:
-                rows = texts[_table_index(block, distinct)].reshape(-1, n).tolist()
-            fh.writelines(delimiter.join(row) + LINE_END for row in rows)
+        if table is None:
+            for at in range(0, g, step):
+                rows = (map(repr, row) for row in values[at:at + step].tolist())
+                fh.writelines(delimiter.join(row) + LINE_END for row in rows)
+        else:
+            # a block's text takes about 80 bytes a cell, so it is built a
+            # quarter block at a time and written as bytes, after the header
+            part = n * max(1, step // 4)
+            fh.flush()
+            for at in range(0, g, step):
+                index = _table_index(values[at:at + step], distinct)
+                for start in range(0, index.size, part):
+                    rows = index[start:start + part]
+                    fh.buffer.write(_rows_text(rows, table, lengths, n, delimiter))
 
 
 def load_class_labels(source: str, n: int) -> ClassPartition:

@@ -7,6 +7,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import (
+    _WRITE_CELLS,
     LINE_END,
     DimensionError,
     DomainError,
@@ -170,4 +171,6 @@ def save_reference_csv(ref: ReferenceCurve, path) -> None:
     with open(path, "w", newline="") as fh:
         write_rows(fh, [[ref.source_tag]])
         # the repr of a finite float holds no comma, quote or line break
-        fh.writelines(f"{x!r}{LINE_END}" for x in ref.values.tolist())
+        for at in range(0, ref.values.size, _WRITE_CELLS):
+            chunk = ref.values[at:at + _WRITE_CELLS].tolist()
+            fh.write(LINE_END.join(map(repr, chunk)) + LINE_END)

@@ -369,6 +369,35 @@ class TestBlockedSaveMatrix:
         _assert_saves_like_one_shot(m, tmp_path, suffix)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), layout=st.sampled_from(sorted(LAYOUTS)))
+    def test_distinct_bits_are_the_unique_bits_up_to_half_the_cells(self, data, layout):
+        g, n = data.draw(st.integers(1, 12)), data.draw(st.integers(2, 6))
+        pool = data.draw(st.lists(FINITE, min_size=1, max_size=g * n))
+        cells = data.draw(st.lists(st.sampled_from(pool), min_size=g * n, max_size=g * n))
+        values = LAYOUTS[layout](np.array(cells, dtype=np.float64).reshape(g, n))
+        unique = np.unique(values.view(np.int64))
+        distinct = core._distinct_bits(values)
+        if 2 * unique.size > g * n:
+            assert distinct is None
+        else:
+            assert distinct.tolist() == unique.tolist()
+
+    @pytest.mark.parametrize("suffix", SUFFIXES)
+    @pytest.mark.parametrize("block_cells", [3, 30])
+    def test_table_of_the_widest_reprs_signed_zeros_and_subnormals(
+        self, tmp_path, monkeypatch, suffix, block_cells
+    ):
+        # 24-character reprs fill a table row to its end; -0.0 and 0.0 are two entries
+        monkeypatch.setattr(core, "_WRITE_CELLS", block_cells)
+        pool = [-2.2250738585072014e-308, -1.7976931348623157e308, -0.0, 0.0, 5e-324,
+                -5e-324, 2.2250738585072e-310, -1e-320, 0.1, 1.5]
+        assert max(len(repr(v)) for v in pool) == core._TEXT_WIDTH
+        rng = np.random.default_rng(24)
+        m = ExpressionMatrix(rng.permutation(np.resize(pool, 120)).reshape(40, 3), ("a", "b", "c"))
+        assert core._text_table(m.values)[0] is not None
+        _assert_saves_like_one_shot(m, tmp_path, suffix)
+
     def test_values_recurring_across_blocks_between_both_branches(self, tmp_path, monkeypatch):
         # every block of two rows looks up the same few table entries; an all-distinct
         # save between two table saves formats its own cells and leaves nothing behind
