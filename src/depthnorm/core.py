@@ -436,8 +436,9 @@ def _rows_text(index: np.ndarray, table: np.ndarray, lengths: np.ndarray, n: int
     at = np.arange(0, text.size, text.shape[1]) + lengths[index]
     flat = text.reshape(-1)
     flat[at] = ord(delimiter)
-    flat[at[n - 1::n]] = ord("\r")
-    flat[at[n - 1::n] + 1] = ord("\n")
+    ends = at[n - 1::n]
+    flat[ends] = ord("\r")
+    flat[ends + 1] = ord("\n")
     return flat[flat != 0]
 
 
