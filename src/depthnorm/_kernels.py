@@ -9,7 +9,10 @@ array of the batch's shape, and keeps the blocks or series still
 iterating at the front, so it makes one numpy call per step whatever the
 batch holds: the fewer the calls, the less two workers wait on each
 other for the GIL.  Blocks are independent and a converged one is
-frozen, so neither the batching nor the compaction changes a bit.
+frozen, so neither the batching nor the compaction changes a bit.  The
+biweight sweeps a probes x series batch, one series per column, so its
+sums add the probe rows in order and a series' bits do not depend on the
+batch it is in.
 """
 
 from __future__ import annotations
@@ -216,57 +219,78 @@ def polish_summaries(values, starts, max_iter, tol):
 # biweight location
 
 
-def _biweight_rows(s, w, c, eps, max_iter, tol):
-    """Biweight location of each row of ``s``; overwrites ``s`` and ``w``, a scratch of its shape.
+def _biweight_columns(s, c, eps, max_iter, tol):
+    """Biweight location of each column of ``s`` (p x k, C-ordered), which it overwrites.
 
-    The rows still iterating are kept at the front of ``s``, so a sweep
-    makes one call per step over all of them, and ``w`` holds the sweep's
-    weights.  When rows converge, the others are taken into ``w``, which
-    becomes ``s``.
+    Every step broadcasts a length-k vector down p contiguous rows, and
+    ``np.add.reduce(u, axis=0)`` adds those rows one after another, so
+    each series' sums run in probe order from +0.0 whatever the batch
+    holds.  A single column would be summed pairwise instead, so the
+    active set never shrinks to one: a lone series sweeps beside a copy
+    of itself.  The columns still iterating are taken to the front of a
+    scratch of ``s``'s size as a p x k C-ordered array, which becomes
+    ``s``.
     """
-    t = median(s, 1, w)
+    p, m = s.shape
+    if m == 1:
+        s = np.repeat(s, 2, axis=1)
+    w = np.empty_like(s)
+    sf, wf = s.reshape(-1), w.reshape(-1)
+    t = median(s, 0, w)
     with np.errstate(over="ignore"):
-        mad = median(np.abs(np.subtract(s, t[:, None], out=w), out=w), 1, w)
+        mad = median(np.abs(np.subtract(s, t, out=w), out=w), 0, w)
         scale = c * mad
     # an infinite scale would give every value weight 1: the mean, not the biweight
     if not np.isfinite(scale).all():
         raise DomainError("biweight scale c * MAD overflows float64; rescale the data")
     out = t.copy()
     idx = np.flatnonzero(mad != 0.0)
+    if idx.size < s.shape[1]:
+        idx = _never_one(idx)
+        np.take(s, idx, axis=1, out=_front(wf, p, idx.size), mode="clip")
+        sf, wf = wf, sf
     denom = (scale + eps)[idx]
     t = t[idx]
-    if idx.size < s.shape[0]:
-        np.take(s, idx, axis=0, out=w[:idx.size], mode="clip")
-        s, w = w, s
     for _ in range(max_iter):
         k = idx.size
         if k == 0:
             break
-        a, u = s[:k], w[:k]
-        np.subtract(a, t[:, None], out=u)
-        np.divide(u, denom[:, None], out=u)
+        a, u = _front(sf, p, k), _front(wf, p, k)
+        np.subtract(a, t, out=u)
+        np.divide(u, denom, out=u)
         np.multiply(u, u, out=u)
         np.subtract(1.0, u, out=u)
         # (1 - u²)² where |u| < 1 and 0 elsewhere, bit for bit
         np.square(np.maximum(u, 0.0, out=u), out=u)
-        wsum = np.add.reduce(u, axis=1)
-        num = np.add.reduce(np.multiply(u, a, out=u), axis=1)
+        wsum = np.add.reduce(u, axis=0)
+        num = np.add.reduce(np.multiply(u, a, out=u), axis=0)
         dead = wsum == 0.0
         t_new = np.where(dead, t, num / np.where(dead, 1.0, wsum))
         out[idx] = t_new
         keep = np.flatnonzero(~(dead | (np.abs(t_new - t) <= tol)))
         if keep.size < k:
-            np.take(a, keep, axis=0, out=w[:keep.size], mode="clip")
-            s, w = w, s
+            keep = _never_one(keep)
+            np.take(a, keep, axis=1, out=_front(wf, p, keep.size), mode="clip")
+            sf, wf = wf, sf
             idx, denom, t_new = idx[keep], denom[keep], t_new[keep]
         t = t_new
-    return out
+    return out[:m]
+
+
+def _never_one(cols):
+    """``cols``, with a lone column taken twice."""
+    return np.repeat(cols, 2) if cols.size == 1 else cols
+
+
+def _front(flat, p, k):
+    """The first p * k values of ``flat`` as a C-ordered p x k array."""
+    return flat[:p * k].reshape(p, k)
 
 
 def biweight_series(series, c, eps, max_iter, tol):
     """Biweight location of many equal-length series (rows of ``series``)."""
-    s = np.array(series, dtype=np.float64, order="C")  # the caller's rows stay as they are
-    return _biweight_rows(s, np.empty_like(s), c, eps, max_iter, tol)
+    s = np.asarray(series, dtype=np.float64).T.copy()  # the caller's rows stay as they are
+    return _biweight_columns(s, c, eps, max_iter, tol)
 
 
 def biweight_summaries(values, starts, c, eps, max_iter, tol):
@@ -274,8 +298,7 @@ def biweight_summaries(values, starts, c, eps, max_iter, tol):
     n = values.shape[1]
     out = np.empty((starts.shape[0] - 1, n))
     for genes, rows in _size_groups(starts, n):
-        # gathered as genes x n x size, so each series is one contiguous row
-        series = values[rows[:, None, :], np.arange(n)[:, None]].reshape(genes.size * n, -1)
-        t = _biweight_rows(series, np.empty_like(series), c, eps, max_iter, tol)
-        out[genes] = t.reshape(genes.size, n)
+        # gathered as size x (genes * n), so each series is one column
+        series = np.take(values, rows.T, axis=0).reshape(rows.shape[1], -1)
+        out[genes] = _biweight_columns(series, c, eps, max_iter, tol).reshape(genes.size, n)
     return out

@@ -56,7 +56,8 @@ class ProbeMatrix:
         gene = np.asarray(self.probe_to_gene, dtype=np.intp)
         if gene.shape != (v.shape[0],):
             raise DimensionError("probe_to_gene must have one entry per probe row")
-        if (np.diff(gene) < 0).any() or gene[0] != 0 or (np.diff(np.unique(gene)) != 1).any():
+        step = np.diff(gene)
+        if (step < 0).any() or gene[0] != 0 or (step > 1).any():
             raise DimensionError("genes must be contiguous blocks numbered 0..G-1")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probe_to_gene", gene)
@@ -118,6 +119,9 @@ def biweight_location(values) -> float:
     u = (x - t) / (c*MAD + eps) with the MAD held at its initial value;
     the location iterates to |dt| <= ``DEFAULT_BIWEIGHT_TOL`` or
     ``DEFAULT_BIWEIGHT_MAX_ITER`` rounds.  Zero MAD falls back to the median.
+    The weighted sums add the values in their order, from +0.0, as
+    ``summarize_genes`` adds each block's probes, so a sample gives the
+    same bits here as a probe block there.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     if x.size == 0:

@@ -3,8 +3,9 @@
 These deliberately share no code with the package: the border oracle
 rescans the full distance matrix every round (O(n^3)), the fence oracle
 applies the classic one-dimensional rule, and the biweight oracle is a
-direct transcription of the weighting iteration.  The calibration
-replicate oracle allocates every step afresh.  The rank-map oracle
+direct transcription of the weighting iteration, its sums taken pairwise
+(``np.sum``) or one value after another (``sequential_sum``).  The
+calibration replicate oracle allocates every step afresh.  The rank-map oracle
 is the tie-averaging quantile map with a stable argsort, and the
 robust-covariance oracle takes its medians and rank correlation on whole
 fresh matrices.  The matrix text oracles are the cell-by-cell reader and
@@ -89,19 +90,34 @@ def tukey_fence_flags_extremes(x: np.ndarray, g: float) -> bool:
     return bool(xs[-1] > q3 + g * iqr or xs[0] < q1 - g * iqr)
 
 
-def biweight_oracle(x: np.ndarray, c: float = 5.0, eps: float = 1e-4) -> float:
+def sequential_sum(x) -> float:
+    """The values of ``x`` added one after another, from +0.0."""
+    total = 0.0
+    for v in np.asarray(x, dtype=float).ravel().tolist():
+        total += v
+    return total
+
+
+def biweight_oracle(x: np.ndarray, c: float = 5.0, eps: float = 1e-4, max_iter: int = 50,
+                    tol: float = 1e-9, total=np.sum) -> float:
+    """The biweight iteration, its sums taken by ``total``.
+
+    With ``total=sequential_sum`` every sum runs in the order of ``x``, the
+    order whose bits the biweight kernels keep.
+    """
     x = np.asarray(x, dtype=float)
     t = float(np.median(x))
     mad = float(np.median(np.abs(x - t)))
     if mad == 0:
         return t
-    for _ in range(50):
+    for _ in range(max_iter):
         u = (x - t) / (c * mad + eps)
         w = np.where(np.abs(u) < 1, (1 - u**2) ** 2, 0.0)
-        if w.sum() == 0:
+        wsum = float(total(w))
+        if wsum == 0:
             return t
-        t_new = float((w * x).sum() / w.sum())
-        if abs(t_new - t) <= 1e-9:
+        t_new = float(total(w * x)) / wsum
+        if abs(t_new - t) <= tol:
             return t_new
         t = t_new
     return t

@@ -12,7 +12,7 @@ from depthnorm import DomainError, _kernels
 from depthnorm.outlier import _mix_rows
 from depthnorm.pipeline import ProbeMatrix, biweight_location, median_polish, summarize_genes
 from depthnorm.simulate import SimulationConfig, generate_dataset
-from oracles import biweight_oracle, medpolish_oracle, pairwise_dists_oracle
+from oracles import biweight_oracle, medpolish_oracle, pairwise_dists_oracle, sequential_sum
 
 LAYOUTS = {
     "uniform": np.array([0, 11, 22, 33, 44, 55], dtype=np.int64),
@@ -184,6 +184,94 @@ def test_polish_blocks_of_a_batch_have_the_bits_of_each_block_alone(case, max_it
 
 
 # ---------------------------------------------------------------------------
+# the biweight's sums in probe order
+
+
+def test_add_reduce_down_the_rows_adds_them_one_after_another():
+    # the biweight kernel's sums rest on this: numpy adds the rows of a C-ordered
+    # p x k array (k >= 2) into the k sums in order, from +0.0
+    rng = np.random.default_rng(7)
+    for p in range(1, 25):
+        for k in [*range(2, 12), 100, 1_000, 5_000]:
+            a = rng.standard_normal((p, k)) * 10.0 ** rng.integers(-8, 9, size=(p, k))
+            want = np.zeros(k)
+            for row in a:
+                want = want + row
+            assert np.add.reduce(a, axis=0).tobytes() == want.tobytes(), (p, k)
+    # but one column of 8 or more values is summed pairwise, so the kernel never sweeps one
+    for p in [*range(8, 25), 100, 1_000]:
+        a = np.array([1.0] + [2.0**-53] * (p - 1))[:, None]
+        assert sequential_sum(a) == 1.0
+        assert np.add.reduce(a, axis=0)[0] > 1.0, p
+
+
+def sequential_biweight(x, max_iter):
+    return biweight_oracle(x, 5.0, 1e-4, max_iter, 1e-9, total=sequential_sum)
+
+
+def assert_series_have_sequential_bits(series, max_iter):
+    want = np.array([sequential_biweight(x, max_iter) for x in series])
+    got = _kernels.biweight_series(series, 5.0, 1e-4, max_iter, 1e-9)
+    assert got.tobytes() == want.tobytes()
+    return want
+
+
+@settings(max_examples=200, deadline=None)
+@given(series=st.integers(1, 12).flatmap(lambda p: hnp.arrays(
+           np.float64, st.tuples(st.integers(1, 8), st.just(p)),
+           elements=st.sampled_from(TIE_POOL) | st.floats(-50, 50, width=64))),
+       max_iter=st.sampled_from([1, 2, 3, 50]))
+def test_biweight_series_have_the_bits_of_sequential_sums(series, max_iter):
+    # in one batch, each alone and each paired with the first
+    want = assert_series_have_sequential_bits(series, max_iter)
+    for i, x in enumerate(series):
+        assert_series_have_sequential_bits(x[None], max_iter)
+        paired = _kernels.biweight_series(np.stack([x, series[0]]), 5.0, 1e-4, max_iter, 1e-9)
+        assert paired.tobytes() == want[[i, 0]].tobytes(), i
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=ragged_cases(), bound=st.integers(1, 600), max_iter=st.sampled_from([1, 2, 3, 50]))
+def test_biweight_summaries_have_the_bits_of_sequential_sums(case, bound, max_iter):
+    values, starts = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_CHUNK_VALUES", bound)
+        got = _kernels.biweight_summaries(values, starts, 5.0, 1e-4, max_iter, 1e-9)
+    want = np.array([[sequential_biweight(x, max_iter) for x in block.T]
+                     for block in blocks_of(values, starts)])
+    assert got.tobytes() == want.tobytes()
+
+
+# eleven probes, as in the study: alone, numpy would sum them pairwise, in other bits
+SKEWED = [1.13, 0.88, 1.9, 1.11, 0.59, 1.44, 3.68, 2.58, 0.49, 0.28, 0.54]
+
+
+@pytest.mark.parametrize("series", [
+    [[1.0] * 10 + [2.0], [3.0] * 6 + [0.0] * 5, [-0.5] * 11],  # every MAD zero
+    [[1.0] * 10 + [2.0], SKEWED, [-0.5] * 11],  # one MAD not zero
+    [[5.0], [-1.0]],  # one probe
+    [SKEWED],  # a lone series
+], ids=["all-zero-mad", "one-nonzero-mad", "one-probe", "alone"])
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 50])
+def test_biweight_series_of_degenerate_batches(series, max_iter):
+    assert_series_have_sequential_bits(np.array(series), max_iter)
+
+
+def test_biweight_sweeps_the_last_active_series_beside_a_copy(monkeypatch):
+    # the symmetric series converges at its first step and the skewed one iterates on
+    # alone, as one column taken twice
+    taken, never_one = [], _kernels._never_one
+
+    def spy(cols):
+        taken.append(cols.size)
+        return never_one(cols)
+
+    monkeypatch.setattr(_kernels, "_never_one", spy)
+    assert_series_have_sequential_bits(np.array([np.arange(-5.0, 6.0), SKEWED]), 50)
+    assert taken == [1, 0]  # the skewed series left alone, then none
+
+
+# ---------------------------------------------------------------------------
 # the summarizers' bits, pinned
 
 
@@ -226,29 +314,30 @@ def summarizer_digests(values, starts):
     }
 
 
-# sha256 of each summarizer's output, computed with the kernels of sweeps over gathered copies
+# sha256 of each summarizer's output, computed with the kernels of sweeps over gathered copies;
+# the biweight's sums run in probe order
 SUMMARIZER_PINS = {
     "ragged-5": {
         "polish_summaries": "9a1c92d8d58fbef7692de2f82556a5af0aa85451db44bec13f15a4d2050ca4d4",
-        "biweight_summaries": "274d37f06773584a7f31bb96e12f3555abf1192b7ee294e4b33cd0556f1811da",
+        "biweight_summaries": "1bf6204693d049eb271992e344f722b88af8a0be88fd99386a9b08fae0817398",
         "polish_blocks": "52c96853e1f3aa67770b28c2fb001baa1e4e3770597f1fa47b758159e8dd587f",
         "median_polish": "519a92a938a9bdc2f6a2dd166bf636c5811c3d218fdf71f020723d03a20a31e7",
     },
     "ragged-12": {
         "polish_summaries": "053e6d9e8ee2568c634b665c49d6846cb6d789158e622422acb49e5b4bd81898",
-        "biweight_summaries": "afdb8d7a9e02bc44909e5c2c633d6936d8734270f6afb0b7c13eb7e33e22aead",
+        "biweight_summaries": "8247515634b9ac8fb536e0ef1fa9279ba15576a7778a6ff49d4bc058df4ee965",
         "polish_blocks": "f48bb91cd890b08f1d5e7bd4f4dcf49dfa990e7105fe97289f6db414ff711d81",
         "median_polish": "b0d49f4c05a9dac82535b7cba36534d7463cb1d56d82952068e11c9124d0b404",
     },
     "ragged-7": {
         "polish_summaries": "5742feb767d3cd898db5708811549c8dbd5574f1bdb8ab598d838daef5b7dca6",
-        "biweight_summaries": "d1c87fd5e763a2cfc32ba55cd300f58740711c5cc0d495ca0efd20744f8effba",
+        "biweight_summaries": "21f9428ea85e55ea92626e60facce5d992869e621b122634ca4782eb15892368",
         "polish_blocks": "d629147f167b123740eb2a6f557ac193c3efd774bbb4d13868f2168f37f2528a",
         "median_polish": "b00aec43675464d01e15468dbf795d249d8f4bb7abf25c083b2d5e25bbbc0282",
     },
     "default": {
         "polish_summaries": "b3d802fc82d7b3a9f3be09f29558cd573cf54d2c6a135cae39e82f9ae80c183c",
-        "biweight_summaries": "a4b967155a053aa6de57abfaa1d6ce5f94c2a7fa5211e7d8bdfe99a1cef58811",
+        "biweight_summaries": "806f1786b8fb75cebe21d125d5b1663d8ae9fd4e12a9efc4d0525aba21f581d5",
         "polish_blocks": "623d95eda7f533c27d7d8f15347a385413cfefec510da930c39e90fedcbb33e6",
         "median_polish": "efe3b81757313126332b3f82ff2f8f19a571e459b1cb44ec9d4c4ee598cf6574",
     },

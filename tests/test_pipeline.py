@@ -135,6 +135,22 @@ class TestProbeMatrix:
         with pytest.raises(DimensionError):
             ProbeMatrix(np.ones((4, 2)), [0, 1, 0, 1])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-2, 6), min_size=1, max_size=12)
+           | st.lists(st.integers(0, 2), min_size=1, max_size=12).map(lambda s: np.cumsum(s) - s[0]))
+    def test_blocks_check_agrees_with_the_unique_gene_numbers(self, gene):
+        # "no gene number skipped", read from the sorted distinct numbers
+        gene = np.asarray(gene, dtype=np.intp)
+        unique_ok = not ((np.diff(gene) < 0).any() or gene[0] != 0
+                         or (np.diff(np.unique(gene)) != 1).any())
+        try:
+            ProbeMatrix(np.ones((gene.size, 2)), gene)
+        except DimensionError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == unique_ok
+
     def test_no_probe_rows_rejected(self):
         with pytest.raises(DimensionError, match=r"got shape \(0, 2\)"):
             ProbeMatrix(np.ones((0, 2)), np.zeros(0, dtype=int))
