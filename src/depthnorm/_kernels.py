@@ -45,29 +45,22 @@ def _row_blocks(start: int, stop: int):
     return zip(edges[:-1], edges[1:])
 
 
-def pairwise_dists(xt: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+def pairwise_dists(xt: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``xt`` (n x G), as n x n.
 
-    With ``rows``, the distances are between those rows of ``xt``, in
-    their order, and no copy of them is made.  Row i's differences to the
-    rows after it are taken a block of a few rows at a time: the block's
-    rows are gathered into one reused buffer and row i subtracted there,
-    so the temporaries hold at most ``_DIST_ROWS + 1`` rows whatever n is,
-    and the blocks, and with them the bits, are those of the same rows as
-    a whole array.  Values whose differences or squares overflow give inf
-    entries, without a warning, for the caller to reject.
+    Row i's differences to the rows after it are taken a block of a few
+    rows at a time, subtracted into one reused buffer, so the temporaries
+    hold at most ``_DIST_ROWS + 1`` rows whatever n is.  Values whose
+    differences or squares overflow give inf entries, without a warning,
+    for the caller to reject.
     """
-    # as positions in range, so the "clip" below never clips
-    rows = np.arange(xt.shape[0]) if rows is None else np.arange(xt.shape[0])[rows]
-    n = len(rows)
+    n = xt.shape[0]
     d = np.zeros((n, n))
     buf = np.empty((min(n, _DIST_ROWS + 1), xt.shape[1]))
     with np.errstate(over="ignore"):
         for i in range(n - 1):
             for a, b in _row_blocks(i + 1, n):
-                # "clip" writes straight into the buffer, where "raise" buffers a copy
-                diff = np.take(xt, rows[a:b], axis=0, out=buf[: b - a], mode="clip")
-                np.subtract(diff, xt[rows[i]], out=diff)
+                diff = np.subtract(xt[a:b], xt[i], out=buf[: b - a])
                 d[i, a:b] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return d + d.T
 

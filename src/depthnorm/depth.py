@@ -78,15 +78,13 @@ class BorderSequence:
         return self.border_index / self.n
 
 
-def pairwise_distances(m: ExpressionMatrix, columns: Optional[np.ndarray] = None) -> DistanceMatrix:
-    """Euclidean distance between every pair of columns, or of the ``columns`` given.
+def pairwise_distances(m: ExpressionMatrix) -> DistanceMatrix:
+    """Euclidean distance between every pair of columns.
 
     The kernel reads the columns as rows: a :func:`~depthnorm.core.column_sort`
     result is already laid out so, and any other matrix is copied once.
-    ``columns`` are read in place, in their order, so a class's distances
-    need no copy of its columns.
     """
-    d = _kernels.pairwise_dists(np.ascontiguousarray(m.values.T), columns)
+    d = _kernels.pairwise_dists(np.ascontiguousarray(m.values.T))
     # the values are finite, so a non-finite distance is an overflow
     if not np.isfinite(d).all():
         raise DataError(

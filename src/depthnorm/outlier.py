@@ -363,21 +363,22 @@ class ScopeScreen:
 
 
 def _screen_scope(
-    curves: ExpressionMatrix, scope: str, columns: Optional[np.ndarray] = None
+    curves: ExpressionMatrix, d: np.ndarray, scope: str, cols: np.ndarray
 ) -> ScopeScreen:
-    """The screen of one scope on the sorted ``curves``: all columns, or the ``columns`` given.
+    """The screen of the columns ``cols`` of the sorted ``curves``, whose distance matrix is ``d``.
 
-    A class's columns are read in place from the curves, not copied out.
+    The scope's borders are peeled from its rows and columns of ``d``, so
+    a pair has one distance in every scope.  Its deepest curve and the
+    farther-member norms read its columns of the curves in place.
     """
-    cols = range(curves.n_samples) if columns is None else columns
     ids = tuple(curves.sample_ids[j] for j in cols)
-    bs = extract_borders(pairwise_distances(curves, columns))
+    bs = extract_borders(DistanceMatrix(d[np.ix_(cols, cols)]))
     iqr = robust_iqr(bs)
     # a zero scale would flag every pair that is apart at all
     if iqr == 0.0 and bs.borders[0].distance > 0.0:
         raise DegenerateScaleError(f"{scope}: median border distance is 0; the fence has no scale")
     # deepest_curve of the scope: the mean of its deepest members, as columns of the curves
-    deep_curve = curves.values[:, [cols[j] for j in bs.deepest_members]].mean(axis=1)
+    deep_curve = curves.values[:, cols[list(bs.deepest_members)]].mean(axis=1)
     farther = []
     for border in bs.borders:
         if len(border.members) < 2:
@@ -405,7 +406,9 @@ def screen_outliers(
     :meth:`ScopeScreen.report`.  Raises here, before any calibration,
     when two columns share a sample id, the distances overflow or a
     scope's fence has no scale.  Beyond ``m``, one matrix-sized array is
-    alive: the sorted curves, which every scope reads in place.
+    alive: the sorted curves, which every scope reads in place.  Their
+    distance matrix is computed once, and each scope reads its rows and
+    columns of it.
     """
     if labels is not None and len(labels.labels) != m.n_samples:
         raise PartitionError(f"{len(labels.labels)} class labels for {m.n_samples} columns")
@@ -414,11 +417,11 @@ def screen_outliers(
     if repeated:
         raise DomainError(f"sample ids {repeated!r} name more than one column")
     curves = column_sort(m)
-    screens = [_screen_scope(curves, "global")]
+    d = pairwise_distances(curves).d
+    scopes = [("global", np.arange(m.n_samples))]
     if labels is not None:
-        for k in range(1, labels.class_count + 1):
-            screens.append(_screen_scope(curves, f"class {k}", labels.members(k)))
-    return screens
+        scopes += [(f"class {k}", labels.members(k)) for k in range(1, labels.class_count + 1)]
+    return [_screen_scope(curves, d, scope, cols) for scope, cols in scopes]
 
 
 def detect_outliers(
@@ -604,5 +607,6 @@ def load_reports(path) -> list[OutlierReport]:
         if not reports:
             raise ValueError("no reports")
         return reports
-    except (KeyError, TypeError, ValueError) as e:
+    # json.loads gives up on deep nesting with a RecursionError
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise ParseError(f"{path}: not an outlier report ({e!r})") from None

@@ -147,6 +147,9 @@ class StudyReport:
                 ),
                 int(rows[0]["n_datasets"]),
             )
+            # a nan cell would never be found again: nan equals nothing, itself included
+            if not np.isfinite([(r.df, r.delta) for r in report.rows]).all():
+                raise ValueError("a df or delta is not finite")
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{path}: not a study report ({e!r})") from None
         have = {(r.df, r.delta, r.method) for r in report.rows}

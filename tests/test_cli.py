@@ -537,10 +537,16 @@ class TestReportCommand:
     def test_missing_file(self, tmp_path):
         assert run("report", "--input", tmp_path / "nope.csv") == 1
 
-    def test_unreadable_report_is_a_data_error(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        '{"reports": [{"scope": "global"}]}',
+        '{"reports": ' + "[" * 1000 + "]" * 1000 + "}",  # deeper than json.loads recurses
+    ], ids=["no-fields", "nested-1000-deep"])
+    def test_unreadable_report_is_a_data_error(self, tmp_path, capsys, text):
         f = tmp_path / "outliers.json"
-        f.write_text('{"reports": [{"scope": "global"}]}')
+        f.write_text(text)
         assert run("report", "--input", f) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {f}: not an outlier report") and "Traceback" not in err
 
     @pytest.mark.parametrize("pairs", [None, [], [{"members": [], "distance": 1.0}],
                                        [{"members": [1, 2], "distance": 1.0}]],
@@ -558,6 +564,9 @@ class TestReportCommand:
     @pytest.mark.parametrize("name, text", [
         ("outliers.csv", None),  # an outlier report read as a study report
         ("study.csv", "df,delta\n1,x\n"),
+        # nan equals no cell, itself included
+        pytest.param("nan.csv", "df,delta,method,power,false_discoveries,n_datasets\n"
+                     "nan,0,RMA,5.0,1.0,2\n", id="nan-df"),
     ])
     def test_not_a_study_report_is_a_data_error(self, matrix_file, tmp_path, capsys, name, text):
         f = tmp_path / name

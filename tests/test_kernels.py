@@ -486,23 +486,6 @@ def test_no_block_is_one_row_unless_the_tail_is(n):
         _assert_dists_keep_the_bits_of_the_oracle(_rows(n, n, WIDE + n, sort, duplicates=n % 2))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(2, 24),
-    g=st.sampled_from([1, WIDE]) | st.integers(1, 12_000),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_distances_of_indexed_rows_have_the_bits_of_their_copy(n, g, seed, data):
-    # a class's rows read in place from the curves, in any order, with any count
-    # that leaves one-row remainders
-    x = _rows(seed, n, g, sort=True, duplicates=seed % 2)
-    k = data.draw(st.integers(2, n))
-    rows = np.array(data.draw(st.permutations(range(n)))[:k], dtype=np.intp)
-    want = _kernels.pairwise_dists(np.ascontiguousarray(x[rows]))
-    assert _kernels.pairwise_dists(x, rows).tobytes() == want.tobytes()
-
-
 def test_row_blocks_cover_the_tail_without_one_row_blocks():
     for start in range(0, 12):
         for stop in range(start + 1, 40):

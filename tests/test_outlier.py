@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -14,19 +14,24 @@ from depthnorm import (
     DataError,
     DegenerateScaleError,
     DimensionError,
+    DistanceMatrix,
     DomainError,
     ExpressionMatrix,
     ParseError,
     PartitionError,
+    ScopeScreen,
     TukeyCalibration,
     calibrate_g,
     column_sort,
     detect_outliers,
+    extract_borders,
+    pairwise_distances,
     peel_borders,
     robust_covariance,
     robust_iqr,
     screen_outliers,
 )
+from depthnorm import _kernels
 from depthnorm.outlier import (
     _normal_factor,
     _psd_repair,
@@ -45,6 +50,19 @@ from oracles import (
 )
 
 TEN_POINT_SAMPLE = [1.3, 2.1, 2.8, 2.9, 3.2, 3.9, 4.1, 4.8, 4.9, 5.3]
+
+# einsum sums a lone row of more than 8,192 values in another order than the same
+# row inside a larger block
+WIDE = 8_193
+
+
+@st.composite
+def class_labels(draw):
+    """Labels of 2 to 12 columns in classes of at least two members, in any order."""
+    n = draw(st.integers(2, 12))
+    count = draw(st.integers(1, n // 2))
+    extra = draw(st.lists(st.integers(1, count), min_size=n - 2 * count, max_size=n - 2 * count))
+    return tuple(draw(st.permutations(list(range(1, count + 1)) * 2 + extra)))
 
 
 def scalar_matrix(points):
@@ -404,7 +422,8 @@ class TestDetectOutliers:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 13), g=st.integers(3, 300),
            data=st.data())
     def test_class_screens_are_the_screens_of_the_class_columns(self, seed, n, g, data):
-        # each class is read from rows of the shared curves, not copied out of them
+        # below 8,193 features a class's entries of the global distances are those of its
+        # columns alone
         rng = np.random.default_rng(seed)
         vals = rng.lognormal(1.0, 1.0, size=(g, n)) * rng.uniform(0.5, 3.0, size=n)
         ids = tuple(f"s{j}" for j in range(n))
@@ -417,6 +436,61 @@ class TestDetectOutliers:
             assert (screen.scope, screen.pairs, screen.farther) == (f"class {k}", alone.pairs,
                                                                      alone.farther)
             assert screen.iqr_estimate == alone.iqr_estimate
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           g=st.sampled_from([3, WIDE, WIDE + 7, 12_000]) | st.integers(3, 12_000),
+           labels=class_labels())
+    # at the width where einsum sums a lone row in another order, a class's last pair
+    # computed from a copy of its columns differed from the global entry in its last bit
+    @example(seed=0, g=WIDE, labels=(1, 2, 1, 2))
+    def test_class_screens_read_the_global_distances(self, seed, g, labels):
+        n = len(labels)
+        rng = np.random.default_rng(seed)
+        vals = rng.lognormal(1.0, 1.0, size=(g, n)) * rng.uniform(0.5, 3.0, size=n)
+        ids = tuple(f"s{j}" for j in range(n))
+        labels = ClassPartition(labels)
+        screens = screen_outliers(ExpressionMatrix(vals, ids), labels)
+        curves = column_sort(ExpressionMatrix(vals, ids))
+        d = pairwise_distances(curves).d
+        scopes = [("global", np.arange(n))] + [
+            (f"class {k}", labels.members(k)) for k in range(1, labels.class_count + 1)]
+        assert len(screens) == len(scopes)
+        for screen, (scope, cols) in zip(screens, scopes):
+            bs = extract_borders(DistanceMatrix(d[np.ix_(cols, cols)]))
+            deep = curves.values[:, cols[list(bs.deepest_members)]].mean(axis=1)
+
+            def far_out(j):
+                return np.linalg.norm(curves.values[:, cols[j]] - deep)
+
+            want = ScopeScreen(
+                scope,
+                tuple(Border(tuple(ids[cols[j]] for j in b.members), b.distance)
+                      for b in bs.borders),
+                robust_iqr(bs),
+                tuple(ids[cols[max(b.members, key=far_out)]] for b in bs.borders
+                      if len(b.members) == 2),
+            )
+            assert screen == want
+        # a pair named in two scopes has one distance
+        distance = {}
+        for screen in screens:
+            for b in screen.pairs:
+                assert distance.setdefault(frozenset(b.members), b.distance) == b.distance
+
+    @pytest.mark.parametrize("labels", [None, (1, 1, 2, 2, 1, 2), (1, 2, 3, 1, 2, 3)])
+    def test_screen_computes_the_distances_once(self, monkeypatch, labels):
+        real, calls = _kernels.pairwise_dists, []
+
+        def spy(xt):
+            calls.append(xt.shape)
+            return real(xt)
+
+        monkeypatch.setattr(_kernels, "pairwise_dists", spy)
+        vals = np.random.default_rng(16).lognormal(size=(50, 6))
+        screens = screen_outliers(ExpressionMatrix(vals), ClassPartition(labels) if labels else None)
+        assert len(screens) == 1 + (max(labels) if labels else 0)
+        assert calls == [(6, 50)]
 
     @pytest.mark.parametrize("labels, scope", [(None, "global"), ((2,) * 5 + (1, 1), "class 2")])
     def test_zero_fence_scale_names_the_scope(self, labels, scope):
